@@ -45,6 +45,10 @@ from .svm import svm_fit, svm_predict
 
 DEFAULT_EV_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 CONTOUR_LEVELS = (0.5, 0.75, 0.95)
+# Version of the pickled model layout, part of the model-cache key.  Bump it
+# whenever a cached artifact's meaning changes (2: reference_points are kept
+# in the order of reference_densities).
+CACHE_SCHEMA = 2
 
 
 def _stable_tag(name: str) -> int:
@@ -437,18 +441,25 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
     return ds
 
 
-def _write_once(path: Path, writer: Callable[[Path], None]) -> None:
-    """Content-addressed cache write: first writer wins, later ones no-op."""
-    if path.exists():
+def _write_once(path: Path, writer: Callable[[Path], None], replace: bool = False) -> None:
+    """Content-addressed cache write: first writer wins, later ones no-op.
+
+    ``replace=True`` atomically overwrites an existing file instead; it
+    repairs an entry that failed to load.
+    """
+    if path.exists() and not replace:
         return
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     os.close(fd)
     try:
         writer(Path(tmp))
-        try:
-            os.link(tmp, path)  # atomic; fails if someone beat us to it
-        except FileExistsError:
-            pass
+        if replace:
+            os.replace(tmp, path)
+        else:
+            try:
+                os.link(tmp, path)  # atomic; fails if someone beat us to it
+            except FileExistsError:
+                pass
     finally:
         Path(tmp).unlink(missing_ok=True)
 
@@ -457,8 +468,8 @@ def _models_cache_key(config: RunConfig, spec: ProjectSpec, level: float) -> str
     knobs = config.to_dict()
     knobs.pop("out_dir")
     knobs.pop("ev_levels")
-    blob = json.dumps({"fp": spec.fingerprint(), "level": round(level, 12), "knobs": knobs},
-                      sort_keys=True)
+    blob = json.dumps({"schema": CACHE_SCHEMA, "fp": spec.fingerprint(),
+                       "level": round(level, 12), "knobs": knobs}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:20]
 
 
@@ -541,24 +552,29 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
 
 
 def _anomaly_grid(artifacts: AnalysisArtifacts, resolution: int):
-    """Anomaly scores on the density chart grid (bbox + 3 bandwidth sds)."""
+    """Anomaly scores on the density chart grid (bbox + 3 bandwidth sds).
+
+    The grid density is binned (``DensityModel.binned_grid``): it is drawn,
+    not reported.  The grid covers every fit point, as binning requires.
+    """
     model = artifacts.density_model
     pts = model.points
     sd_t = np.sqrt(model.H[0, 0])
     sd_c = np.sqrt(model.H[1, 1])
     ts = np.linspace(pts[:, 0].min() - 3 * sd_t, pts[:, 0].max() + 3 * sd_t, resolution)
     cs = np.linspace(pts[:, 1].min() - 3 * sd_c, pts[:, 1].max() + 3 * sd_c, resolution)
-    dens = model.evaluate_grid(ts, cs)
-    refs = model.reference_densities
-    scores = (refs.size - np.searchsorted(refs, dens.ravel(), side="right")) / refs.size
-    return ts, cs, scores.reshape(dens.shape)
+    return ts, cs, density.exceedance(model.reference_densities, model.binned_grid(ts, cs))
 
 
 def _variability_band(artifacts: AnalysisArtifacts) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Marginal extent of the 95% highest-density region of the reference sample."""
+    """Marginal extent of the 95% highest-density region of the reference sample.
+
+    ``reference_points`` is in the order of ``reference_densities``, so the
+    sample is scored from its stored densities without a kernel evaluation.
+    """
     model = artifacts.density_model
     refs = model.reference_points
-    scores = density.anomaly_probability(model, refs)
+    scores = density.exceedance(model.reference_densities, model.reference_densities)
     keep = scores <= 0.95
     if not keep.any():
         keep = np.ones(len(refs), dtype=bool)
@@ -592,15 +608,17 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
     model_key = _models_cache_key(config, spec, level)
     model_path = cache_dir / f"models_{model_key}.pkl"
     artifacts = None
+    unreadable = False
     if model_path.exists():
         try:
             with open(model_path, "rb") as fh:
                 artifacts = pickle.load(fh)
         except Exception:
-            artifacts = None
+            unreadable = True  # refit below and overwrite the broken entry
     if artifacts is None:
         artifacts = _fit_level_models(config, spec, level_rows, level)
-        _write_once(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))
+        _write_once(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)),
+                    replace=unreadable)
 
     point = np.array([at, ac])
     if artifacts.degenerate:

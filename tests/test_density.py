@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from evmcontrol.density import (
     anomaly_probability,
+    exceedance,
     fit_anomaly_model,
     kde_fit,
     normal_scale_bandwidth,
@@ -210,3 +211,58 @@ def test_density_grid_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "t,c,density,anomaly_score"
     assert len(lines) == 1 + 5 * 4
+
+
+def _binned_case(seed=8, n=600):
+    rng = np.random.default_rng(seed)
+    pts = rng.multivariate_normal([0, 0], [[2.0, 0.8], [0.8, 1.0]], size=n)
+    H = normal_scale_bandwidth(pts)
+    m = kde_fit(pts, H)
+    sd = np.sqrt(np.diag(H))
+    ts = np.linspace(pts[:, 0].min() - 3 * sd[0], pts[:, 0].max() + 3 * sd[0], 90)
+    cs = np.linspace(pts[:, 1].min() - 3 * sd[1], pts[:, 1].max() + 3 * sd[1], 70)
+    return m, ts, cs
+
+
+def test_binned_grid_close_to_exact():
+    m, ts, cs = _binned_case()
+    exact = m.evaluate_grid(ts, cs)
+    binned = m.binned_grid(ts, cs)
+    assert binned.shape == exact.shape == (90, 70)
+    assert np.abs(binned - exact).max() <= 0.01 * exact.max()
+
+
+def test_binned_grid_integral_near_one():
+    m, ts, cs = _binned_case()
+    grid = m.binned_grid(ts, cs)
+    integral = grid.sum() * (ts[1] - ts[0]) * (cs[1] - cs[0])
+    assert 0.99 <= integral <= 1.01
+
+
+def test_binned_grid_rejects_uncovered_points():
+    m, ts, cs = _binned_case()
+    t_min, c_max = m.points[:, 0].min(), m.points[:, 1].max()
+    with pytest.raises(ValidationError, match="cover"):
+        m.binned_grid(np.linspace(t_min + 1e-6, ts[-1], 90), cs)
+    with pytest.raises(ValidationError, match="cover"):
+        m.binned_grid(ts, np.linspace(cs[0], c_max - 1e-6, 70))
+    with pytest.raises(ValidationError, match="evenly"):
+        m.binned_grid(np.r_[ts[:-1], ts[-1] + 1.0], cs)
+
+
+def test_reference_points_in_density_order():
+    rng = np.random.default_rng(31)
+    pts = rng.multivariate_normal([3, 10], [[1.0, 0.6], [0.6, 1.5]], size=1500)
+    raw = rng.multivariate_normal([3, 10], [[1.0, 0.6], [0.6, 1.5]], size=1500)
+    H = normal_scale_bandwidth(pts)
+    model = kde_fit(pts, H, reference_points=raw)
+    # the same evaluation kde_fit makes, in the sample's own order
+    dens = kde_fit(pts, H).evaluate(raw)
+    order = np.argsort(dens, kind="stable")
+    np.testing.assert_array_equal(model.reference_densities, dens[order])
+    np.testing.assert_array_equal(model.reference_points, raw[order])
+    # re-evaluating in the new order may move the last bit under threaded BLAS
+    np.testing.assert_allclose(model.evaluate(model.reference_points),
+                               model.reference_densities, rtol=1e-12, atol=0)
+    np.testing.assert_array_equal(exceedance(model.reference_densities, dens),
+                                  anomaly_probability(model, raw))

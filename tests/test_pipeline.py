@@ -1,20 +1,26 @@
 import json
+import pickle
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+from evmcontrol import density, pipeline
 from evmcontrol.charts import cmd_chart
 from evmcontrol.cli import main
 from evmcontrol.gam import gam_predict
-from evmcontrol.geometry import points_in_hull
+from evmcontrol.geometry import marching_squares, points_in_hull
 from evmcontrol.pipeline import (
+    CONTOUR_LEVELS,
     RunConfig,
     classifier_predict_proba,
     cmd_analyze,
     cmd_simulate,
     write_prediction_grid_csv,
 )
+from evmcontrol.project import load_project
 
 BASELINE_T50 = 5 + 549.5 / 1002
 
@@ -136,6 +142,79 @@ def test_report_reproducible_byte_for_byte(tmp_path):
         raw = raw.replace(str(cfg.out_dir).encode(), b"OUT")
         docs.append(raw)
     assert docs[0] == docs[1]
+
+
+def test_models_cache_key_has_schema(analysis, monkeypatch):
+    cfg, _ = analysis
+    spec = load_project(cfg.project)
+    key = pipeline._models_cache_key(cfg, spec, 0.5)
+    monkeypatch.setattr(pipeline, "CACHE_SCHEMA", pipeline.CACHE_SCHEMA + 1)
+    assert pipeline._models_cache_key(cfg, spec, 0.5) != key
+
+
+def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
+    cfg = small_config(tmp_path, runs=800, train_subsample=200, kde_fit_cap=300,
+                       kde_reference_cap=300, scv_subsample=200,
+                       density_grid_resolution=40, grid_resolution=15,
+                       cv_forest_ntree=15, final_forest_ntree=40,
+                       knot_grid=({"a": 2, "b": 2},), span_grid=({"a": 1.0, "b": 1.0},))
+    report = Path(cfg.out_dir) / "report.json"
+    cmd_simulate(cfg)
+
+    def analyze():
+        cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5, data_dir=cfg.out_dir)
+        return report.read_bytes()
+
+    cold = analyze()
+    (model_path,) = (Path(cfg.out_dir) / "cache").glob("models_*.pkl")
+    model_path.write_bytes(b"not a pickle")
+    fits = []
+    fit = pipeline._fit_level_models
+
+    def counting_fit(*args):
+        fits.append(args)
+        return fit(*args)
+
+    monkeypatch.setattr(pipeline, "_fit_level_models", counting_fit)
+    assert analyze() == cold
+    assert len(fits) == 1  # refit ...
+    with open(model_path, "rb") as fh:
+        assert isinstance(pickle.load(fh), pipeline.AnalysisArtifacts)  # ... and rewritten
+    assert analyze() == cold
+    assert len(fits) == 1  # a cache hit
+
+
+def test_variability_band_matches_rescoring(analysis):
+    _, result = analysis
+    model = result.artifacts.density_model
+    refs = model.reference_points
+    # the former band: every reference point re-scored by kernel evaluation
+    keep = density.anomaly_probability(model, refs) <= 0.95
+    oracle = ((float(refs[keep, 0].min()), float(refs[keep, 0].max())),
+              (float(refs[keep, 1].min()), float(refs[keep, 1].max())))
+    assert pipeline._variability_band(result.artifacts) == oracle
+    assert (result.report.band_t, result.report.band_c) == oracle
+
+
+@pytest.mark.parametrize("fit_cap, reference_cap, scv_subsample, resolution, score_bound", [
+    (8000, 10000, 1000, 200, 0.005),  # default KDE caps and chart grid
+    (2000, 2000, 500, 60, 0.02),      # small caps, coarse grid
+])
+def test_anomaly_grid_close_to_exact(ensemble_half, fit_cap, reference_cap, scv_subsample,
+                                     resolution, score_bound):
+    rows = ensemble_half.rows_at(0.5)
+    model = density.fit_anomaly_model(rows.t, rows.c, seed=0, fit_cap=fit_cap,
+                                      reference_cap=reference_cap, scv_subsample=scv_subsample)
+    ts, cs, binned = pipeline._anomaly_grid(SimpleNamespace(density_model=model), resolution)
+    exact = density.exceedance(model.reference_densities, model.evaluate_grid(ts, cs))
+    assert np.abs(binned - exact).max() <= score_bound
+    step = np.array([ts[1] - ts[0], cs[1] - cs[0]])
+    for level in CONTOUR_LEVELS:
+        # Hausdorff distance between the contour vertex sets, in grid steps
+        a = np.vstack(marching_squares(ts, cs, exact, level)) / step
+        b = np.vstack(marching_squares(ts, cs, binned, level)) / step
+        dist = cdist(a, b)
+        assert max(dist.min(axis=0).max(), dist.min(axis=1).max()) <= 0.5
 
 
 def test_classifier_regressor_soft_consistency(analysis):
