@@ -2,9 +2,10 @@
 
 The triad cloud at one pivot level becomes a binary problem: did the run
 finish over budget (final cost above BAC) or late (final duration above
-PD)?  This module holds the dataset labelling step, the Gaussian
-class-conditional classifier (quadratic discriminant analysis) and the
-probability-0.5 decision-boundary extraction shared by all classifiers.
+PD)?  ``TriadDataset.over_budget`` and ``TriadDataset.late`` are the labels.
+This module holds the Gaussian class-conditional classifier (quadratic
+discriminant analysis) and the probability-0.5 decision-boundary extraction
+shared by all classifiers.
 
 QDA posterior, computed in log space for numerical safety:
 
@@ -23,44 +24,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import convex_hull, marching_squares, points_in_hull
-from .simulate import TriadDataset
 
 RIDGE_CONDITION = 1e8
 RIDGE_FACTOR = 1e-6
-
-TARGETS = ("over_budget", "late")
-
-
-@dataclass(frozen=True)
-class LabeledData:
-    """Feature matrix (t, c) with a binary over-run label."""
-
-    target: str
-    X: np.ndarray
-    y: np.ndarray
-
-    @property
-    def positive_fraction(self) -> float:
-        return float(self.y.mean())
-
-    @property
-    def single_class(self) -> bool:
-        return bool(self.y.all() or not self.y.any())
-
-
-def label_dataset(dataset: TriadDataset, target: str, ev_level: float | None = None) -> LabeledData:
-    """Rows at one pivot level labelled by the requested over-run target."""
-    if target not in TARGETS:
-        raise ValidationError(f"unknown target {target!r}; expected one of {TARGETS}")
-    if ev_level is not None:
-        dataset = dataset.rows_at(ev_level)
-    elif len(dataset.ev_levels) != 1:
-        raise ValidationError("dataset spans several ev_levels; pass ev_level explicitly")
-    if dataset.t.size == 0:
-        raise ValidationError("empty dataset")
-    y = dataset.over_budget if target == "over_budget" else dataset.late
-    X = np.column_stack([dataset.t, dataset.c])
-    return LabeledData(target=target, X=X, y=y.astype(bool))
 
 
 @dataclass(frozen=True)

@@ -199,54 +199,12 @@ def _loess_operator(x_sorted: np.ndarray, queries: np.ndarray, q: int, inflate: 
     return _LoessOperator(idx=idx, weights=weights, dx=dx, self_pos=self_pos)
 
 
-@dataclass
-class LoessFit:
-    """Fitted loess smoother: training fits plus a predictor for new x."""
-
-    x_sorted: np.ndarray
-    y_sorted: np.ndarray
-    span: float
-    q: int
-    inflate: float
-    fitted: np.ndarray  # in the original row order
-    hat_trace: float
-
-    def predict(self, x_new) -> np.ndarray:
-        x_new = np.asarray(x_new, dtype=float)
-        op = _loess_operator(self.x_sorted, x_new, self.q, self.inflate)
-        return op.apply(self.y_sorted)
-
-
 def _span_window(n: int, span: float) -> tuple[int, float]:
     if span <= 0:
         raise ValidationError("span must be positive")
     if span <= 1:
         return min(max(int(np.ceil(span * n)), 2), n), 1.0
     return n, span  # all points; max distance inflated by span^(1/p), p = 1
-
-
-def loess_smooth(x, y, span: float) -> LoessFit:
-    """Local linear regression with tricube weights over span neighborhoods."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(x) < 3 or len(x) != len(y):
-        raise ValidationError("loess needs >= 3 paired points")
-    q, inflate = _span_window(len(x), span)
-    order = np.argsort(x, kind="stable")
-    xs, ys = x[order], y[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(x))
-    op = _loess_operator(xs, xs, q, inflate, self_rows=np.arange(len(xs)))
-    fitted_sorted = op.apply(ys)
-    return LoessFit(
-        x_sorted=xs,
-        y_sorted=ys,
-        span=span,
-        q=q,
-        inflate=inflate,
-        fitted=fitted_sorted[rank],
-        hat_trace=float(op.hat_diag().sum()),
-    )
 
 
 class _LoessSmoother:

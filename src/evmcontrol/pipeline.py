@@ -27,7 +27,7 @@ import json
 import os
 import pickle
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -54,6 +54,11 @@ CACHE_SCHEMA = 2
 def _stable_tag(name: str) -> int:
     """Deterministic 32-bit tag for seed derivation (hash() is salted)."""
     return int.from_bytes(hashlib.sha256(name.encode()).digest()[:4], "big")
+
+
+def _json_dict(obj) -> dict:
+    """A dataclass as plain JSON values: tuples become lists, paths strings."""
+    return json.loads(json.dumps(asdict(obj), default=os.fspath))
 
 
 def _grid_pairs(values, reverse=False):
@@ -90,27 +95,7 @@ class RunConfig:
     final_forest_ntree: int = 300
 
     def to_dict(self) -> dict:
-        return {
-            "project": str(self.project),
-            "runs": self.runs,
-            "seed": self.seed,
-            "ev_levels": list(self.ev_levels),
-            "grid_resolution": self.grid_resolution,
-            "density_grid_resolution": self.density_grid_resolution,
-            "out_dir": str(self.out_dir),
-            "train_subsample": self.train_subsample,
-            "kde_fit_cap": self.kde_fit_cap,
-            "kde_reference_cap": self.kde_reference_cap,
-            "scv_subsample": self.scv_subsample,
-            "k_outer": self.k_outer,
-            "k_inner": self.k_inner,
-            "svm_grid": [dict(g) for g in self.svm_grid],
-            "forest_grid": [dict(g) for g in self.forest_grid],
-            "knot_grid": [dict(g) for g in self.knot_grid],
-            "span_grid": [dict(g) for g in self.span_grid],
-            "cv_forest_ntree": self.cv_forest_ntree,
-            "final_forest_ntree": self.final_forest_ntree,
-        }
+        return _json_dict(self)
 
 
 @dataclass(frozen=True)
@@ -144,34 +129,7 @@ class ControlReport:
     band_c: tuple[float, float]
 
     def to_dict(self) -> dict:
-        out = {
-            "ev_level": self.ev_level,
-            "at": self.at,
-            "ac": self.ac,
-            "ev": self.ev,
-            "sv": self.sv,
-            "cv": self.cv,
-            "x": self.x,
-            "bac": self.bac,
-            "pd": self.pd,
-            "p_anomaly": self.p_anomaly,
-            "p_overcost": self.p_overcost,
-            "p_delay": self.p_delay,
-            "expected_final_cost": self.expected_final_cost,
-            "expected_overcost": self.expected_overcost,
-            "expected_final_duration": self.expected_final_duration,
-            "expected_delay": self.expected_delay,
-            "overcost_model": self.overcost_model,
-            "delay_model": self.delay_model,
-            "cost_model": self.cost_model,
-            "duration_model": self.duration_model,
-            "status_in_trusted_region": self.status_in_trusted_region,
-            "cost_extrapolated": self.cost_extrapolated,
-            "duration_extrapolated": self.duration_extrapolated,
-            "band_t": list(self.band_t),
-            "band_c": list(self.band_c),
-        }
-        return out
+        return _json_dict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -212,66 +170,88 @@ def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
 # model families
 
 
-def _qda_family() -> Family:
+@dataclass(frozen=True)
+class Learner:
+    """One model family: its grid, how to fit it and how to predict with it.
+
+    ``fit(X, y, params, ntree, seed)`` returns a model; ``predict(model, X)``
+    returns P(positive) for a classifier and the expected value for a
+    regressor.  Entries look learners up by their module-level names when
+    they run, so that rebinding those names (as a tracer does) reaches
+    every fit.
+    """
+
+    kind: str  # "classifier" | "regressor"
+    grid: Callable[[RunConfig], tuple]
+    fit: Callable
+    predict: Callable
+
+
+def _gam_learner(smoother: Callable[[float], gam.SmootherSpec],
+                 grid: Callable[[RunConfig], tuple]) -> Learner:
+    return Learner(
+        kind="regressor", grid=grid,
+        fit=lambda X, y, p, ntree, seed: gam.backfit_gam(X, y, [smoother(p["a"]),
+                                                                smoother(p["b"])]),
+        predict=lambda m, X: gam.gam_predict(m, X)[0],
+    )
+
+
+# The one place a family is defined.  Order is the tie-break order between
+# families with equal outer error.
+LEARNERS: dict[str, Learner] = {
+    "qda": Learner(
+        kind="classifier", grid=lambda config: ({},),
+        fit=lambda X, y, p, ntree, seed: classify.qda_fit(X, y),
+        predict=lambda m, X: classify.qda_predict(m, X)[:, 1],
+    ),
+    "forest": Learner(
+        kind="classifier", grid=lambda config: config.forest_grid,
+        fit=lambda X, y, p, ntree, seed: forest_fit(X, y, ntree=ntree, mtry=1,
+                                                    min_node=p.get("min_node", 5), seed=seed),
+        predict=lambda m, X: forest_predict(m, X)[:, 1],
+    ),
+    "svm": Learner(
+        kind="classifier", grid=lambda config: config.svm_grid,
+        fit=lambda X, y, p, ntree, seed: svm_fit(X, y, C=p["C"], gamma=p["gamma"]),
+        predict=lambda m, X: svm_predict(m, X),
+    ),
+    "gam_splines": _gam_learner(gam.spline_spec, lambda config: config.knot_grid),
+    "gam_loess": _gam_learner(gam.loess_spec, lambda config: config.span_grid),
+}
+CLASSIFIERS = tuple(name for name, learner in LEARNERS.items() if learner.kind == "classifier")
+REGRESSORS = tuple(name for name, learner in LEARNERS.items() if learner.kind == "regressor")
+
+
+def _family(name: str, ntree: int, seed: int) -> Family:
+    """Nested-CV adapter of a table entry; classifiers predict P > 0.5."""
+    learner = LEARNERS[name]
+
     def fit(X, y, params):
-        model = classify.qda_fit(X, y)
-        return lambda Q: classify.qda_predict(model, Q)[:, 1] > 0.5
+        model = learner.fit(X, y, params, ntree, seed)
+        if learner.kind == "classifier":
+            return lambda Q: learner.predict(model, Q) > 0.5
+        return lambda Q: learner.predict(model, Q)
 
-    return Family(name="qda", kind="classifier", fit=fit)
-
-
-def _forest_family(ntree: int, seed: int) -> Family:
-    def fit(X, y, params):
-        model = forest_fit(X, y, ntree=ntree, mtry=1,
-                           min_node=params.get("min_node", 5), seed=seed)
-        return lambda Q: forest_predict(model, Q)[:, 1] > 0.5
-
-    return Family(name="forest", kind="classifier", fit=fit)
+    return Family(name=name, kind=learner.kind, fit=fit)
 
 
-def _svm_family() -> Family:
-    def fit(X, y, params):
-        model = svm_fit(X, y, C=params["C"], gamma=params["gamma"])
-        return lambda Q: svm_predict(model, Q) > 0.5
-
-    return Family(name="svm", kind="classifier", fit=fit)
-
-
-def _spline_gam_family() -> Family:
-    def fit(X, y, params):
-        model = gam.backfit_gam(X, y, [gam.spline_spec(params["a"]), gam.spline_spec(params["b"])])
-        return lambda Q: gam.gam_predict(model, Q)[0]
-
-    return Family(name="gam_splines", kind="regressor", fit=fit)
+def _select(X, y, names, config: RunConfig, seed: int) -> tuple[list[SelectionReport], int]:
+    """Nested CV of each named family; the winner has the lowest
+    ``(outer_mean, table index)``."""
+    reports = [
+        nested_cv(X, y, _family(name, config.cv_forest_ntree, mix_seed(seed, 0xF0)),
+                  LEARNERS[name].grid(config), k_outer=config.k_outer, k_inner=config.k_inner,
+                  seed=mix_seed(seed, _stable_tag(name)))
+        for name in names
+    ]
+    return reports, min(range(len(reports)), key=lambda i: (reports[i].outer_mean, i))
 
 
-def _loess_gam_family() -> Family:
-    def fit(X, y, params):
-        model = gam.backfit_gam(X, y, [gam.loess_spec(params["a"]), gam.loess_spec(params["b"])])
-        return lambda Q: gam.gam_predict(model, Q)[0]
-
-    return Family(name="gam_loess", kind="regressor", fit=fit)
-
-
-def _fit_final_classifier(name: str, params: Mapping, X, y, config: RunConfig, seed: int):
-    if name == "qda":
-        return classify.qda_fit(X, y)
-    if name == "forest":
-        return forest_fit(X, y, ntree=config.final_forest_ntree, mtry=1,
-                          min_node=params.get("min_node", 5), seed=seed)
-    if name == "svm":
-        return svm_fit(X, y, C=params["C"], gamma=params["gamma"])
-    raise ValidationError(f"unknown classifier family {name!r}")
-
-
-def _fit_final_gam(name: str, params: Mapping, X, y) -> gam.GamModel:
-    if name == "gam_splines":
-        specs = [gam.spline_spec(params["a"]), gam.spline_spec(params["b"])]
-    elif name == "gam_loess":
-        specs = [gam.loess_spec(params["a"]), gam.loess_spec(params["b"])]
-    else:
-        raise ValidationError(f"unknown regression family {name!r}")
-    return gam.backfit_gam(X, y, specs)
+def _fit_final(report: SelectionReport, X, y, config: RunConfig, seed: int):
+    """Refit a family's majority-vote params on all rows."""
+    return LEARNERS[report.family].fit(X, y, report.best_params(),
+                                       config.final_forest_ntree, mix_seed(seed, 0xF1))
 
 
 @dataclass
@@ -291,13 +271,7 @@ def classifier_predict_proba(art: ClassifierArtifact, X) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if art.degenerate:
         return np.full(len(X), art.fixed_probability)
-    if art.family == "qda":
-        return classify.qda_predict(art.model, X)[:, 1]
-    if art.family == "forest":
-        return forest_predict(art.model, X)[:, 1]
-    if art.family == "svm":
-        return svm_predict(art.model, X)
-    raise ValidationError(f"unknown classifier family {art.family!r}")
+    return LEARNERS[art.family].predict(art.model, X)
 
 
 @dataclass
@@ -326,30 +300,17 @@ class AnalysisArtifacts:
 
 
 def _select_classifier(X, y, config: RunConfig, seed: int, target: str) -> ClassifierArtifact:
-    data = classify.LabeledData(target=target, X=X, y=y)
-    if data.single_class:
+    if y.all() or not y.any():
         fixed = 1.0 if y.all() else 0.0
         return ClassifierArtifact(
             target=target, degenerate=True, fixed_probability=fixed,
             family="degenerate", params={}, model=None,
             selection={"note": "single-class target; probability fixed", "fixed": fixed},
         )
-    families = [
-        (_qda_family(), ({},)),
-        (_forest_family(config.cv_forest_ntree, mix_seed(seed, 0xF0)), config.forest_grid),
-        (_svm_family(), config.svm_grid),
-    ]
-    reports: list[SelectionReport] = []
-    for fam, grid in families:
-        reports.append(
-            nested_cv(X, y, fam, grid, k_outer=config.k_outer, k_inner=config.k_inner,
-                      seed=mix_seed(seed, _stable_tag(fam.name)))
-        )
-    best = min(range(len(reports)), key=lambda i: (reports[i].outer_mean, i))
+    reports, best = _select(X, y, CLASSIFIERS, config, seed)
     chosen = reports[best]
     params = chosen.best_params()
-    model = _fit_final_classifier(chosen.family, params, X, y, config,
-                                  seed=mix_seed(seed, 0xF1))
+    model = _fit_final(chosen, X, y, config, seed)
     selection = {
         "chosen_family": chosen.family,
         "chosen_params": dict(params),
@@ -368,23 +329,12 @@ def _select_classifier(X, y, config: RunConfig, seed: int, target: str) -> Class
 
 
 def _select_regressor(X, y, config: RunConfig, seed: int, target: str) -> RegressorArtifact:
-    families = [
-        (_spline_gam_family(), config.knot_grid),
-        (_loess_gam_family(), config.span_grid),
-    ]
-    reports: list[SelectionReport] = []
-    for fam, grid in families:
-        reports.append(
-            nested_cv(X, y, fam, grid, k_outer=config.k_outer, k_inner=config.k_inner,
-                      seed=mix_seed(seed, _stable_tag(fam.name)), stratified=False)
-        )
-    best = min(range(len(reports)), key=lambda i: (reports[i].outer_mean, i))
+    reports, best = _select(X, y, REGRESSORS, config, seed)
     chosen = reports[best]
     params = chosen.best_params()
-    model = _fit_final_gam(chosen.family, params, X, y)
+    model = _fit_final(chosen, X, y, config, seed)
     # head-to-head comparison of the two family winners on the same rows
-    other = reports[1 - best]
-    other_model = _fit_final_gam(other.family, other.best_params(), X, y)
+    other_model = _fit_final(reports[1 - best], X, y, config, seed)
     small, large = sorted([model, other_model], key=lambda m: m.df)
     try:
         anova = gam.anova_compare(small, large)
@@ -438,7 +388,8 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
         return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
     ds = run_ensemble(spec, config.runs, config.seed, [level])
     _write_once(cached, lambda p: ds.write_csv(p))
-    return ds
+    # analyse what a later refit reads back: the CSV rounds to 9 digits
+    return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
 
 
 def _write_once(path: Path, writer: Callable[[Path], None], replace: bool = False) -> None:

@@ -6,12 +6,10 @@ from scipy.stats import norm
 
 from evmcontrol.classify import (
     decision_boundary,
-    label_dataset,
     qda_fit,
     qda_predict,
 )
 from evmcontrol.errors import ValidationError
-from evmcontrol.simulate import run_ensemble
 
 
 def _standardized(rng, n):
@@ -96,23 +94,8 @@ def test_qda_near_bayes_error():
 
 
 def test_label_dataset_balance(ensemble_half):
-    over = label_dataset(ensemble_half, "over_budget")
-    late = label_dataset(ensemble_half, "late")
-    assert abs(over.positive_fraction - 0.5) <= 0.011
-    assert abs(late.positive_fraction - 0.7575) <= 0.015
-    assert not over.single_class
-    assert over.X.shape == (ensemble_half.n_runs, 2)
-
-
-def test_label_dataset_single_class_flag(zero_variance_case_study):
-    ds = run_ensemble(zero_variance_case_study, 20, seed=1, ev_levels=[0.5])
-    labels = label_dataset(ds, "over_budget")
-    assert labels.single_class
-
-
-def test_label_dataset_validation(ensemble_half):
-    with pytest.raises(ValidationError, match="unknown target"):
-        label_dataset(ensemble_half, "behind")
+    assert abs(ensemble_half.over_budget.mean() - 0.5) <= 0.011
+    assert abs(ensemble_half.late.mean() - 0.7575) <= 0.015
 
 
 def test_boundary_constant_predictor():

@@ -9,7 +9,9 @@ from scipy.spatial.distance import cdist
 
 from evmcontrol import density, pipeline
 from evmcontrol.charts import cmd_chart
+from evmcontrol.classify import qda_predict
 from evmcontrol.cli import main
+from evmcontrol.forest import forest_predict
 from evmcontrol.gam import gam_predict
 from evmcontrol.geometry import marching_squares, points_in_hull
 from evmcontrol.pipeline import (
@@ -21,6 +23,7 @@ from evmcontrol.pipeline import (
     write_prediction_grid_csv,
 )
 from evmcontrol.project import load_project
+from evmcontrol.svm import svm_predict
 
 BASELINE_T50 = 5 + 549.5 / 1002
 
@@ -45,6 +48,15 @@ def small_config(out_dir, **overrides):
     )
     base.update(overrides)
     return RunConfig(**base)
+
+
+def tiny_config(out_dir):
+    """``small_config`` cut down to one grid point per GAM family."""
+    return small_config(out_dir, runs=800, train_subsample=200, kde_fit_cap=300,
+                        kde_reference_cap=300, scv_subsample=200,
+                        density_grid_resolution=40, grid_resolution=15,
+                        cv_forest_ntree=15, final_forest_ntree=40,
+                        knot_grid=({"a": 2, "b": 2},), span_grid=({"a": 1.0, "b": 1.0},))
 
 
 @pytest.fixture(scope="module")
@@ -129,13 +141,7 @@ def test_report_reproducible_byte_for_byte(tmp_path):
     report JSON."""
     docs = []
     for sub in ("one", "two"):
-        cfg = small_config(tmp_path / sub, runs=800, train_subsample=200,
-                           kde_fit_cap=300, kde_reference_cap=300,
-                           scv_subsample=200, density_grid_resolution=40,
-                           grid_resolution=15, cv_forest_ntree=15,
-                           final_forest_ntree=40,
-                           knot_grid=({"a": 2, "b": 2},),
-                           span_grid=({"a": 1.0, "b": 1.0},))
+        cfg = tiny_config(tmp_path / sub)
         cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5)
         raw = (Path(cfg.out_dir) / "report.json").read_bytes()
         # out_dir differs by construction; normalize it before comparing
@@ -153,11 +159,7 @@ def test_models_cache_key_has_schema(analysis, monkeypatch):
 
 
 def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
-    cfg = small_config(tmp_path, runs=800, train_subsample=200, kde_fit_cap=300,
-                       kde_reference_cap=300, scv_subsample=200,
-                       density_grid_resolution=40, grid_resolution=15,
-                       cv_forest_ntree=15, final_forest_ntree=40,
-                       knot_grid=({"a": 2, "b": 2},), span_grid=({"a": 1.0, "b": 1.0},))
+    cfg = tiny_config(tmp_path)
     report = Path(cfg.out_dir) / "report.json"
     cmd_simulate(cfg)
 
@@ -182,6 +184,62 @@ def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
         assert isinstance(pickle.load(fh), pipeline.AnalysisArtifacts)  # ... and rewritten
     assert analyze() == cold
     assert len(fits) == 1  # a cache hit
+
+
+def test_fresh_simulation_report_survives_model_cache_loss(tmp_path):
+    """Without a data dir the triads are simulated and cached as CSV.  A
+    refit after the model cache is lost reads that CSV, so the first
+    analysis must use the CSV's values too."""
+    cfg = tiny_config(tmp_path)
+    report = Path(cfg.out_dir) / "report.json"
+    cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5)
+    fresh = report.read_bytes()
+    (model_path,) = (Path(cfg.out_dir) / "cache").glob("models_*.pkl")
+    model_path.unlink()
+    cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5)
+    assert report.read_bytes() == fresh
+
+
+FAMILIES = ("qda", "forest", "svm", "gam_splines", "gam_loess")
+DIRECT_PREDICT = {
+    "qda": lambda model, Q: qda_predict(model, Q)[:, 1],
+    "forest": lambda model, Q: forest_predict(model, Q)[:, 1],
+    "svm": svm_predict,
+    "gam_splines": lambda model, Q: gam_predict(model, Q)[0],
+    "gam_loess": lambda model, Q: gam_predict(model, Q)[0],
+}
+
+
+def test_learner_table_order():
+    assert tuple(pipeline.LEARNERS) == FAMILIES  # the tie-break order
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_learner_table_matches_direct_calls(name, tmp_path):
+    """Every family's table entry predicts what its learner predicts, both
+    for a report (P(positive) or expected value) and inside nested CV."""
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((120, 2))
+    y = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.3 * rng.standard_normal(120)
+    Q = 1.5 * rng.standard_normal((40, 2))
+    learner = pipeline.LEARNERS[name]
+    if learner.kind == "classifier":
+        y = y > np.median(y)
+    params = learner.grid(small_config(tmp_path))[0]
+    model = learner.fit(X, y, params, 15, 3)
+    direct = DIRECT_PREDICT[name](model, Q)
+    cv_predict = pipeline._family(name, 15, 3).fit(X, y, params)(Q)
+    if learner.kind == "classifier":
+        art = pipeline.ClassifierArtifact(target="late", degenerate=False,
+                                          fixed_probability=None, family=name,
+                                          params=params, model=model, selection={})
+        np.testing.assert_array_equal(classifier_predict_proba(art, Q), direct)
+        np.testing.assert_array_equal(cv_predict, direct > 0.5)
+    else:
+        smoother = "spline" if name == "gam_splines" else "loess"
+        assert [spec.kind for spec in model.specs] == [smoother, smoother]
+        np.testing.assert_array_equal(learner.predict(model, Q), direct)
+        np.testing.assert_array_equal(cv_predict, direct)
 
 
 def test_variability_band_matches_rescoring(analysis):
