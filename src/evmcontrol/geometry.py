@@ -15,30 +15,32 @@ def convex_hull(points) -> np.ndarray:
     """Andrew's monotone chain; returns hull vertices counter-clockwise.
 
     Degenerate inputs (all collinear) return the two extreme points.
+    The chain runs on Python floats, which round exactly as float64 does.
     """
     pts = np.unique(np.asarray(points, dtype=float), axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts = pts[order]
+    coords = pts.tolist()
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+    def half_chain(seq):
+        chain: list[list[float]] = []
+        for p in seq:
+            px, py = p
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0:
+                    chain.pop()
+                else:
+                    break
+            chain.append(p)
+        return chain
 
-    lower: list[np.ndarray] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[np.ndarray] = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = np.array(lower[:-1] + upper[:-1])
+    hull = half_chain(coords)[:-1] + half_chain(reversed(coords))[:-1]
     if len(hull) < 3:
         return pts[[0, -1]]
-    return hull
+    return np.array(hull)
 
 
 def points_in_hull(queries, hull: np.ndarray, eps: float = 1e-9) -> np.ndarray:
@@ -79,38 +81,33 @@ def marching_squares(xs, ys, values: np.ndarray, level: float) -> list[np.ndarra
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    above = values > level
-    for i in range(len(xs) - 1):
-        for j in range(len(ys) - 1):
-            corners = [
-                ((xs[i], ys[j]), values[i, j]),
-                ((xs[i + 1], ys[j]), values[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), values[i, j + 1]),
-            ]
-            code = sum(
-                1 << k
-                for k, (_, v) in enumerate(corners)
-                if v > level
-            )
-            if code in (0, 15):
-                continue
-            edges = []  # crossing point per crossed cell edge
-            for k in range(4):
-                (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
-                if (va > level) != (vb > level):
-                    edges.append(_interp_crossing(pa, pb, va, vb, level))
-            if len(edges) == 2:
+    above = (values[: len(xs), : len(ys)] > level).astype(np.uint8)
+    code = above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2 | above[:-1, 1:] << 3
+    # only cells with corners on both sides of the level; argwhere keeps the
+    # row-major (i, then j) order of a double loop over the cells
+    for i, j in np.argwhere((code != 0) & (code != 15)).tolist():
+        corners = [
+            ((xs[i], ys[j]), values[i, j]),
+            ((xs[i + 1], ys[j]), values[i + 1, j]),
+            ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1]),
+            ((xs[i], ys[j + 1]), values[i, j + 1]),
+        ]
+        edges = []  # crossing point per crossed cell edge
+        for k in range(4):
+            (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
+            if (va > level) != (vb > level):
+                edges.append(_interp_crossing(pa, pb, va, vb, level))
+        if len(edges) == 2:
+            segments.append((edges[0], edges[1]))
+        elif len(edges) == 4:
+            # saddle: pair crossings by the sign of the center value
+            center = np.mean([v for _, v in corners])
+            if (center > level) == (corners[0][1] > level):
+                segments.append((edges[0], edges[3]))
+                segments.append((edges[1], edges[2]))
+            else:
                 segments.append((edges[0], edges[1]))
-            elif len(edges) == 4:
-                # saddle: pair crossings by the sign of the center value
-                center = np.mean([v for _, v in corners])
-                if (center > level) == (corners[0][1] > level):
-                    segments.append((edges[0], edges[3]))
-                    segments.append((edges[1], edges[2]))
-                else:
-                    segments.append((edges[0], edges[1]))
-                    segments.append((edges[2], edges[3]))
+                segments.append((edges[2], edges[3]))
     return _chain_segments(segments)
 
 
