@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import convex_hull, marching_squares, points_in_hull
+from .geometry import marching_squares, points_in_hull
 
 RIDGE_CONDITION = 1e8
 RIDGE_FACTOR = 1e-6
@@ -102,17 +102,20 @@ def decision_boundary(
     predict_positive: Callable[[np.ndarray], np.ndarray],
     t_grid: Sequence[float],
     c_grid: Sequence[float],
-    training_points,
+    hull,
 ) -> DecisionBoundary:
-    """Extract the 0.5 level set of a probability predictor over a grid."""
+    """Extract the 0.5 level set of a probability predictor over a grid.
+
+    ``hull`` is the training cloud's convex hull, counter-clockwise as
+    :func:`geometry.convex_hull` returns it; grid nodes inside it are trusted.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
     tt, cc = np.meshgrid(t_grid, c_grid, indexing="ij")
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     prob = np.asarray(predict_positive(flat), dtype=float).reshape(tt.shape)
     polylines = marching_squares(t_grid, c_grid, prob, 0.5)
-    pts = np.asarray(training_points, dtype=float)
-    hull = convex_hull(pts)
+    hull = np.asarray(hull, dtype=float)
     trusted = points_in_hull(flat, hull).reshape(tt.shape)
     return DecisionBoundary(
         t_grid=t_grid,

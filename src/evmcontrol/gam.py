@@ -145,38 +145,54 @@ def _tricube(dist: np.ndarray, maxd: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LoessOperator:
-    """Precomputed neighborhoods and weights for one query set."""
+    """Precomputed neighborhoods and weights for one query set.
+
+    The weighted moments of ``dx`` do not depend on the response, so they
+    are computed once, on first use, and reused by every backfitting cycle.
+    They are left out of the pickled state, which stays that of the fields.
+    """
 
     idx: np.ndarray      # (nq, q) training indices per query
     weights: np.ndarray  # tricube weights
     dx: np.ndarray       # x_train - x_query inside the window
     self_pos: np.ndarray | None = None  # query's own column (training pass)
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_moments", None)
+        return state
+
+    def moments(self):
+        """(sw, w*dx, swx, swxx, det, ok) of the fixed weights and offsets."""
+        cached = self.__dict__.get("_moments")
+        if cached is None:
+            w = self.weights
+            wdx = w * self.dx
+            sw = w.sum(axis=1)
+            swx = wdx.sum(axis=1)
+            swxx = (wdx * self.dx).sum(axis=1)
+            det = sw * swxx - swx * swx
+            scale = np.maximum(sw * swxx, swx * swx)
+            ok = det > 1e-12 * np.maximum(scale, 1e-300)
+            cached = self._moments = (sw, wdx, swx, swxx, det, ok)
+        return cached
+
     def apply(self, y_sorted: np.ndarray) -> np.ndarray:
+        sw, wdx, swx, swxx, det, ok = self.moments()
         yw = y_sorted[self.idx]
-        w = self.weights
-        sw = w.sum(axis=1)
-        swx = (w * self.dx).sum(axis=1)
-        swxx = (w * self.dx * self.dx).sum(axis=1)
-        swy = (w * yw).sum(axis=1)
-        swxy = (w * self.dx * yw).sum(axis=1)
-        det = sw * swxx - swx * swx
-        scale = np.maximum(sw * swxx, swx * swx)
-        ok = det > 1e-12 * np.maximum(scale, 1e-300)
+        swy = (self.weights * yw).sum(axis=1)
+        swxy = (wdx * yw).sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             local_line = (swxx * swy - swx * swxy) / det
+            if ok.all():
+                return local_line
             w_mean = np.where(sw > 0, swy / sw, yw.mean(axis=1))
         return np.where(ok, local_line, w_mean)
 
     def hat_diag(self) -> np.ndarray:
         """Weight each training row puts on itself (training pass only)."""
+        sw, _, swx, swxx, det, ok = self.moments()
         w = self.weights
-        sw = w.sum(axis=1)
-        swx = (w * self.dx).sum(axis=1)
-        swxx = (w * self.dx * self.dx).sum(axis=1)
-        det = sw * swxx - swx * swx
-        scale = np.maximum(sw * swxx, swx * swx)
-        ok = det > 1e-12 * np.maximum(scale, 1e-300)
         rows = np.arange(len(self.idx))
         w_self = w[rows, self.self_pos]
         dx_self = self.dx[rows, self.self_pos]

@@ -481,7 +481,7 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
         art = _select_classifier(Xs, y, config, mix_seed(seed, _stable_tag(target)), target)
         if not art.degenerate:
             art.boundary = classify.decision_boundary(
-                lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, pts
+                lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, hull
             )
         classifiers[target] = art
 

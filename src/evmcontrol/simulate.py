@@ -23,6 +23,7 @@ chunking, threading or row order.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -216,14 +217,24 @@ class TriadDataset:
 
 
 def read_triads_csv(path: str | Path, fingerprint: str = "", seed: int = 0) -> TriadDataset:
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    raw = np.atleast_1d(raw)
+    """Read a triad CSV, mapping its columns by the file's own header."""
+    with open(path) as fh:
+        names = [name.strip() for name in fh.readline().split(",")]
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(fh, delimiter=",", ndmin=2)
+    values = values.reshape(-1, len(names))  # header only: (0, 1) -> (0, columns)
+    columns = TRIAD_CSV_HEADER.split(",")
+    missing = [name for name in columns if name not in names]
+    if missing:
+        raise ValidationError(f"{path}: triad CSV lacks column(s) {', '.join(missing)}")
+    raw = {name: values[:, names.index(name)] for name in columns}
     levels = tuple(np.unique(raw["ev_level"]).tolist())
     n_levels = max(len(levels), 1)
     return TriadDataset(
         fingerprint=fingerprint,
         seed=seed,
-        n_runs=len(raw) // n_levels,
+        n_runs=len(values) // n_levels,
         ev_levels=levels,
         run=raw["run"].astype(np.int64),
         ev_level=raw["ev_level"].astype(float),

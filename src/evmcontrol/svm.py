@@ -7,6 +7,11 @@ applied; t and c differ by three orders of magnitude on realistic project
 data, and standardization also makes predictions invariant to rescaling
 either axis.  The dual is solved to a KKT tolerance (default 1e-3); the
 final residual is stored on the model.
+
+The solver tracks its working set incrementally: a step changes two dual
+coefficients, so only their two memberships are updated.  The selection
+rule (the maximal violating pair, first index on ties) and every result are
+those of rebuilding the sets at each step, bit for bit.
 """
 
 from __future__ import annotations
@@ -56,40 +61,75 @@ def _smo(K: np.ndarray, yv: np.ndarray, C: float, tol: float, max_iter: int):
     bias interval is paired and solved analytically inside the box.  The
     loop stops when the interval is feasible up to ``2 * tol``, which makes
     the final KKT residual (with the midpoint bias) at most ``tol``.
+
+    A step moves ``alpha`` at two positions only, so the working set is
+    kept as penalty rows (0 inside, -inf / +inf outside the up / low set)
+    updated at those two positions, and both picks come from one ``argmax``
+    over ``[m + pen_up, -(m + pen_low)]``: first index on ties, as the
+    ``argmax`` of the up side and the ``argmin`` of the low side.  The pair
+    algebra runs on Python floats in the same expression order.
     """
     n = len(yv)
-    alpha = np.zeros(n)
     raw = np.zeros(n)  # K @ (alpha * y), bias-free decision values
     eps = 1e-12
-    gap = np.inf
+    c_hi = C - eps
+    y_list = yv.tolist()
+    a_list = [0.0] * n
+
+    def members(y, a):  # (in the up set, in the low set)
+        return ((y > 0 and a < c_hi) or (y < 0 and a > eps),
+                (y > 0 and a > eps) or (y < 0 and a < c_hi))
+
+    up, low = map(list, zip(*[members(y, 0.0) for y in y_list]))
+    n_up, n_low = sum(up), sum(low)
+    # outside the set: -inf on the up row, +inf on the low row (negated below)
+    pen = np.array([[0.0 if u else -np.inf for u in up],
+                    [0.0 if v else np.inf for v in low]])
+    KT = np.ascontiguousarray(K.T)  # row i is column i of K
+    margins = np.empty(n)
+    scores = np.empty((2, n))
+    step1 = np.empty(n)
+    step2 = np.empty(n)
     for _ in range(max_iter):
-        margins = yv - raw
-        up = ((yv > 0) & (alpha < C - eps)) | ((yv < 0) & (alpha > eps))
-        low = ((yv > 0) & (alpha > eps)) | ((yv < 0) & (alpha < C - eps))
-        if not up.any() or not low.any():
-            gap = 0.0
+        if n_up == 0 or n_low == 0:
             break
-        i1 = int(np.where(up, margins, -np.inf).argmax())
-        i2 = int(np.where(low, margins, np.inf).argmin())
-        gap = margins[i1] - margins[i2]
+        np.subtract(yv, raw, out=margins)
+        np.add(margins, pen, out=scores)
+        np.negative(scores[1], out=scores[1])
+        i1, i2 = scores.argmax(axis=1).tolist()
+        gap = margins.item(i1) - margins.item(i2)
         if gap <= 2.0 * tol:
             break
-        a1o, a2o = alpha[i1], alpha[i2]
-        y1, y2 = yv[i1], yv[i2]
+        a1o, a2o = a_list[i1], a_list[i2]
+        y1, y2 = y_list[i1], y_list[i2]
         s = y1 * y2
         if s > 0:
             box_lo, box_hi = max(0.0, a1o + a2o - C), min(C, a1o + a2o)
         else:
             box_lo, box_hi = max(0.0, a2o - a1o), min(C, C + a2o - a1o)
-        eta = 2.0 * K[i1, i2] - K[i1, i1] - K[i2, i2]
+        eta = 2.0 * K.item(i1, i2) - K.item(i1, i1) - K.item(i2, i2)
         eta = min(eta, -1e-12)  # duplicates flatten the pair direction
-        e1, e2 = raw[i1] - y1, raw[i2] - y2
+        e1, e2 = raw.item(i1) - y1, raw.item(i2) - y2
         a2n = min(max(a2o - y2 * (e1 - e2) / eta, box_lo), box_hi)
         if abs(a2n - a2o) < 1e-14 * C:
             break  # best pair cannot move: box-blocked
         a1n = a1o + s * (a2o - a2n)
-        raw += y1 * (a1n - a1o) * K[:, i1] + y2 * (a2n - a2o) * K[:, i2]
-        alpha[i1], alpha[i2] = a1n, a2n
+        np.multiply(KT[i1], y1 * (a1n - a1o), out=step1)
+        np.multiply(KT[i2], y2 * (a2n - a2o), out=step2)
+        np.add(step1, step2, out=step1)
+        np.add(raw, step1, out=raw)
+        a_list[i1], a_list[i2] = a1n, a2n
+        for i, a in ((i1, a1n), (i2, a2n)):
+            u, v = members(y_list[i], a)
+            if u != up[i]:
+                up[i] = u
+                n_up += 1 if u else -1
+                pen[0, i] = 0.0 if u else -np.inf
+            if v != low[i]:
+                low[i] = v
+                n_low += 1 if v else -1
+                pen[1, i] = 0.0 if v else np.inf
+    alpha = np.array(a_list)
 
     # midpoint of the feasible bias interval minimizes the worst violation
     margins = yv - raw

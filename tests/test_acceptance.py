@@ -212,7 +212,8 @@ def _time_boundary_checks(predict, ref: LateReference) -> tuple[bool, str]:
        a held-out run on the other side of 0.5 from the reference no more
        often than the reference is undecided.
     """
-    boundary = classify.decision_boundary(predict, ref.t_grid, ref.c_grid, ref.train_X)
+    boundary = classify.decision_boundary(predict, ref.t_grid, ref.c_grid,
+                                          convex_hull(ref.train_X))
     boundary_t = np.concatenate([np.empty(0)] + [
         poly[points_in_hull(poly, boundary.hull), 0]
         for poly in map(np.asarray, boundary.polylines)

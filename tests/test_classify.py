@@ -10,6 +10,7 @@ from evmcontrol.classify import (
     qda_predict,
 )
 from evmcontrol.errors import ValidationError
+from evmcontrol.geometry import convex_hull
 
 
 def _standardized(rng, n):
@@ -104,7 +105,7 @@ def test_boundary_constant_predictor():
         lambda q: np.full(len(q), 0.8),
         np.linspace(0, 1, 8),
         np.linspace(0, 1, 8),
-        rng.uniform(0, 1, (30, 2)),
+        convex_hull(rng.uniform(0, 1, (30, 2))),
     )
     assert b.polylines == ()
     assert np.all(b.probability == 0.8)
@@ -118,7 +119,7 @@ def test_boundary_logistic_level_set():
         lambda q: 1 / (1 + np.exp(-(q[:, 1] - c0))),
         np.linspace(0, 10, 41),
         cs,
-        rng.uniform(0, 10, (50, 2)),
+        convex_hull(rng.uniform(0, 10, (50, 2))),
     )
     pts = np.concatenate([np.asarray(p) for p in b.polylines])
     cell_height = cs[1] - cs[0]
@@ -132,7 +133,7 @@ def test_boundary_trust_mask():
         lambda q: np.full(len(q), 0.3),
         np.linspace(0, 1, 11),
         np.linspace(0, 1, 11),
-        training,
+        convex_hull(training),
     )
     assert not b.trusted[0, 0]
     assert b.trusted[5, 5]

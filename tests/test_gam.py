@@ -1,10 +1,14 @@
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evmcontrol.errors import ValidationError
+from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.gam import (
+    _LoessOperator,
     _LoessSmoother,
     anova_compare,
     backfit_gam,
@@ -273,3 +277,92 @@ def test_gam_beats_constant_predictor_under_signal():
     gam_mse = cross_validate(X, y, gam_fam, {}, plan).mean_score
     mean_mse = cross_validate(X, y, mean_fam, {}, plan).mean_score
     assert gam_mse <= mean_mse
+
+
+# Reference loess operator: the weighted moments recomputed from the weights
+# on every call, as first written.  The package's operator must match it bit
+# for bit, and its cached moments must not reach the pickled model.
+
+
+def _ref_apply(op, y_sorted):
+    yw = y_sorted[op.idx]
+    w = op.weights
+    sw = w.sum(axis=1)
+    swx = (w * op.dx).sum(axis=1)
+    swxx = (w * op.dx * op.dx).sum(axis=1)
+    swy = (w * yw).sum(axis=1)
+    swxy = (w * op.dx * yw).sum(axis=1)
+    det = sw * swxx - swx * swx
+    scale = np.maximum(sw * swxx, swx * swx)
+    ok = det > 1e-12 * np.maximum(scale, 1e-300)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        local_line = (swxx * swy - swx * swxy) / det
+        w_mean = np.where(sw > 0, swy / sw, yw.mean(axis=1))
+    return np.where(ok, local_line, w_mean)
+
+
+def _ref_hat_diag(op):
+    w = op.weights
+    sw = w.sum(axis=1)
+    swx = (w * op.dx).sum(axis=1)
+    swxx = (w * op.dx * op.dx).sum(axis=1)
+    det = sw * swxx - swx * swx
+    scale = np.maximum(sw * swxx, swx * swx)
+    ok = det > 1e-12 * np.maximum(scale, 1e-300)
+    rows = np.arange(len(op.idx))
+    w_self = w[rows, op.self_pos]
+    dx_self = op.dx[rows, op.self_pos]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lever = w_self * (swxx - dx_self * swx) / det
+        fallback = np.where(sw > 0, w_self / sw, 1.0 / w.shape[1])
+    return np.where(ok, lever, fallback)
+
+
+def _bits(x):
+    a = np.asarray(x)
+    return a.dtype.str, a.shape, a.tobytes()
+
+
+def _fit_or_error(X, y, specs):
+    # both versions must also fail alike; IndexError: a tie group wider than
+    # the loess window puts a row outside its own window
+    try:
+        return backfit_gam(X, y, specs)
+    except (IndexError, NumericsError, ValidationError) as exc:
+        return repr(exc)
+
+
+@st.composite
+def backfit_problems(draw):
+    """Features on few distinct values (zero-width windows) and loess spans
+    on both sides of 1, next to a spline smoother."""
+    n = draw(st.integers(10, 80))
+    cols, specs = [], []
+    for _ in range(2):
+        levels = draw(st.integers(1, n))
+        codes = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+        cols.append(np.asarray(codes, dtype=float) * draw(st.sampled_from([1.0, 0.3, 1e3])))
+        if draw(st.integers(0, 3)):
+            specs.append(loess_spec(draw(st.sampled_from([0.05, 0.2, 0.5, 1.0, 1.5, 4.0]))))
+        else:
+            specs.append(spline_spec(draw(st.integers(0, 2))))
+    y = np.asarray(draw(st.lists(st.floats(-100, 100), min_size=n, max_size=n)))
+    return np.column_stack(cols), y, specs
+
+
+@settings(max_examples=150, deadline=None)
+@given(backfit_problems())
+def test_backfit_matches_reference_loess_bitwise(problem):
+    X, y, specs = problem
+    got = _fit_or_error(X, y, specs)
+    with mock.patch.object(_LoessOperator, "apply", _ref_apply), \
+            mock.patch.object(_LoessOperator, "hat_diag", _ref_hat_diag):
+        want = _fit_or_error(X, y, specs)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert _bits(got.fitted) == _bits(want.fitted)
+    assert _bits(got.rss_path) == _bits(want.rss_path)
+    assert _bits(got.edf) == _bits(want.edf)
+    assert got.n_cycles == want.n_cycles
+    assert pickle.dumps(got) == pickle.dumps(want)

@@ -7,6 +7,7 @@ from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.project import Activity, baseline_pv, make_project
 from evmcontrol.rng import fold
 from evmcontrol.simulate import (
+    TRIAD_CSV_HEADER,
     RunTrace,
     extract_triad,
     read_triads_csv,
@@ -157,6 +158,66 @@ def test_csv_round_trip_and_determinism(tmp_path, case_study):
     assert np.allclose(back.t, ds1.t, rtol=1e-8)
     assert np.array_equal(back.over_budget, ds1.over_budget)
     assert np.array_equal(back.late, ds1.late)
+
+
+def _ref_read_triads_csv(path):
+    """The genfromtxt reader the CSV reader replaced; its results must match."""
+    raw = np.atleast_1d(np.genfromtxt(path, delimiter=",", names=True))
+    levels = tuple(np.unique(raw["ev_level"]).tolist())
+    return dict(
+        n_runs=len(raw) // max(len(levels), 1),
+        ev_levels=levels,
+        run=raw["run"].astype(np.int64),
+        ev_level=raw["ev_level"].astype(float),
+        t=raw["t"].astype(float),
+        c=raw["c"].astype(float),
+        final_t=raw["final_t"].astype(float),
+        final_c=raw["final_c"].astype(float),
+        over_budget=raw["over_budget"] > 0.5,
+        late=raw["late"] > 0.5,
+    )
+
+
+def _triad_csv(path, n, columns):
+    rng = np.random.default_rng(0)
+    data = {
+        "run": np.arange(n) % max(n // 2, 1),
+        "ev_level": np.where(np.arange(n) < n // 2, 0.25, 0.5),
+        "t": rng.uniform(1, 12, n),
+        "c": rng.normal(1.1e4, 900, n),
+        "final_t": rng.uniform(8, 20, n),
+        "final_c": rng.normal(2.2e4, 1500, n) * 10.0 ** rng.integers(-3, 4, n),
+        "over_budget": rng.integers(0, 2, n),
+        "late": rng.integers(0, 2, n),
+    }
+    fmt = {"run": "%d", "over_budget": "%d", "late": "%d"}
+    np.savetxt(path, np.column_stack([data[k] for k in columns]),
+               fmt=[fmt.get(k, "%.9g") for k in columns], delimiter=",",
+               header=",".join(columns), comments="")
+    return path
+
+
+@pytest.mark.parametrize("n, columns", [
+    (20_000, TRIAD_CSV_HEADER.split(",")),
+    (1, TRIAD_CSV_HEADER.split(",")),
+    (0, TRIAD_CSV_HEADER.split(",")),
+    (300, ["late", "c", "t", "run", "final_c", "over_budget", "ev_level", "final_t"]),
+])
+def test_csv_reader_matches_genfromtxt(tmp_path, n, columns):
+    path = _triad_csv(tmp_path / "triads.csv", n, columns)
+    ds = read_triads_csv(path, fingerprint="f", seed=4)
+    ref = _ref_read_triads_csv(path)
+    assert ds.n_runs == ref["n_runs"] and ds.ev_levels == ref["ev_levels"]
+    for name in TRIAD_CSV_HEADER.split(","):
+        got, want = getattr(ds, name), ref[name]
+        assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_csv_reader_names_file_missing_a_column(tmp_path):
+    path = _triad_csv(tmp_path / "short.csv", 5, ["run", "ev_level", "t", "c", "final_t", "late"])
+    with pytest.raises(ValidationError, match=r"short\.csv.*final_c, over_budget"):
+        read_triads_csv(path)
 
 
 def test_rows_at_level(case_study):
