@@ -18,7 +18,10 @@ until the fitted values stop moving.  Two smoother families are provided:
   the maximum distance inflated by span^(1/p), p = 1 here.
 
 Because both smoothers are linear in the response for fixed x, the
-backfitting operators are precomputed once per fit.  Effective degrees of
+backfitting operators are precomputed once per fit, and they die with it:
+a fitted model keeps per predictor only what prediction reads (spline
+basis, column means and coefficients; loess sorted x, window size and the
+last smoothed response), so it pickles in kilobytes.  Effective degrees of
 freedom are the trace of each smoother's hat operator (the basis dimension
 for the spline projection); the model df is 1 + their sum, used by the
 approximate F comparison in :func:`anova_compare`.
@@ -99,6 +102,18 @@ def natural_spline_basis(x, n_knots: int) -> tuple[SplineBasis, np.ndarray]:
     return basis, basis.design(x)
 
 
+@dataclass(frozen=True)
+class SplineSmooth:
+    """Fitted spline smooth: the centered basis times its coefficients."""
+
+    basis: SplineBasis
+    col_means: np.ndarray
+    beta: np.ndarray
+
+    def predict(self, x) -> np.ndarray:
+        return (self.basis.design(x) - self.col_means) @ self.beta
+
+
 class _SplineSmoother:
     """Least-squares projection onto the centered natural spline basis."""
 
@@ -108,14 +123,13 @@ class _SplineSmoother:
         self.Bc = B - self.col_means
         self.pinv = np.linalg.pinv(self.Bc)
         self.edf = float(B.shape[1])
-        self.beta = np.zeros(B.shape[1])
 
     def smooth(self, residual: np.ndarray) -> np.ndarray:
         self.beta = self.pinv @ residual
         return self.Bc @ self.beta
 
-    def predict(self, x) -> np.ndarray:
-        return (self.basis.design(x) - self.col_means) @ self.beta
+    def fitted(self) -> SplineSmooth:
+        return SplineSmooth(basis=self.basis, col_means=self.col_means, beta=self.beta)
 
 
 # ---------------------------------------------------------------------------
@@ -145,40 +159,20 @@ def _tricube(dist: np.ndarray, maxd: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _LoessOperator:
-    """Precomputed neighborhoods and weights for one query set.
+    """Neighborhoods, tricube weights and weighted moments for one query set.
 
-    The weighted moments of ``dx`` do not depend on the response, so they
-    are computed once, on first use, and reused by every backfitting cycle.
-    They are left out of the pickled state, which stays that of the fields.
+    The moments do not depend on the response, so every backfitting cycle
+    reuses them.  An operator lives only as long as a fit or a prediction.
     """
 
     idx: np.ndarray      # (nq, q) training indices per query
     weights: np.ndarray  # tricube weights
     dx: np.ndarray       # x_train - x_query inside the window
+    moments: tuple       # (sw, w*dx, swx, swxx, det, ok)
     self_pos: np.ndarray | None = None  # query's own column (training pass)
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_moments", None)
-        return state
-
-    def moments(self):
-        """(sw, w*dx, swx, swxx, det, ok) of the fixed weights and offsets."""
-        cached = self.__dict__.get("_moments")
-        if cached is None:
-            w = self.weights
-            wdx = w * self.dx
-            sw = w.sum(axis=1)
-            swx = wdx.sum(axis=1)
-            swxx = (wdx * self.dx).sum(axis=1)
-            det = sw * swxx - swx * swx
-            scale = np.maximum(sw * swxx, swx * swx)
-            ok = det > 1e-12 * np.maximum(scale, 1e-300)
-            cached = self._moments = (sw, wdx, swx, swxx, det, ok)
-        return cached
-
     def apply(self, y_sorted: np.ndarray) -> np.ndarray:
-        sw, wdx, swx, swxx, det, ok = self.moments()
+        sw, wdx, swx, swxx, det, ok = self.moments
         yw = y_sorted[self.idx]
         swy = (self.weights * yw).sum(axis=1)
         swxy = (wdx * yw).sum(axis=1)
@@ -190,16 +184,19 @@ class _LoessOperator:
         return np.where(ok, local_line, w_mean)
 
     def hat_diag(self) -> np.ndarray:
-        """Weight each training row puts on itself (training pass only)."""
-        sw, _, swx, swxx, det, ok = self.moments()
+        """Weight each training row puts on itself (training pass only); 0 for
+        a row that a tie group wider than the window leaves outside it."""
+        sw, _, swx, swxx, det, ok = self.moments
         w = self.weights
         rows = np.arange(len(self.idx))
-        w_self = w[rows, self.self_pos]
-        dx_self = self.dx[rows, self.self_pos]
+        inside = self.self_pos < w.shape[1]
+        pos = np.where(inside, self.self_pos, 0)
+        w_self = w[rows, pos]
+        dx_self = self.dx[rows, pos]
         with np.errstate(divide="ignore", invalid="ignore"):
             lever = w_self * (swxx - dx_self * swx) / det
             fallback = np.where(sw > 0, w_self / sw, 1.0 / w.shape[1])
-        return np.where(ok, lever, fallback)
+        return np.where(inside, np.where(ok, lever, fallback), 0.0)
 
 
 def _loess_operator(x_sorted: np.ndarray, queries: np.ndarray, q: int, inflate: float,
@@ -209,10 +206,18 @@ def _loess_operator(x_sorted: np.ndarray, queries: np.ndarray, q: int, inflate: 
     dx = x_sorted[idx] - queries[:, None]
     maxd = np.abs(dx).max(axis=1) * inflate
     weights = _tricube(np.abs(dx), maxd)
+    wdx = weights * dx
+    sw = weights.sum(axis=1)
+    swx = wdx.sum(axis=1)
+    swxx = (wdx * dx).sum(axis=1)
+    det = sw * swxx - swx * swx
+    scale = np.maximum(sw * swxx, swx * swx)
+    ok = det > 1e-12 * np.maximum(scale, 1e-300)
     self_pos = None
     if self_rows is not None:
         self_pos = self_rows - starts
-    return _LoessOperator(idx=idx, weights=weights, dx=dx, self_pos=self_pos)
+    return _LoessOperator(idx=idx, weights=weights, dx=dx,
+                          moments=(sw, wdx, swx, swxx, det, ok), self_pos=self_pos)
 
 
 def _span_window(n: int, span: float) -> tuple[int, float]:
@@ -223,22 +228,34 @@ def _span_window(n: int, span: float) -> tuple[int, float]:
     return n, span  # all points; max distance inflated by span^(1/p), p = 1
 
 
+@dataclass(frozen=True)
+class LoessSmooth:
+    """Fitted loess smooth: local lines through the last smoothed response."""
+
+    xs: np.ndarray             # sorted training x
+    q: int
+    inflate: float
+    target_sorted: np.ndarray  # response of the last backfitting pass, in xs order
+    offset: float              # training mean of the fitted values
+
+    def predict(self, x_new: np.ndarray) -> np.ndarray:
+        op = _loess_operator(self.xs, x_new, self.q, self.inflate)
+        return op.apply(self.target_sorted) - self.offset
+
+
 class _LoessSmoother:
     """Backfitting adapter: fixed windows/weights, response swapped per cycle."""
 
     def __init__(self, x: np.ndarray, span: float):
-        self.x = np.asarray(x, dtype=float)
-        self.span = span
-        self.q, self.inflate = _span_window(len(self.x), span)
-        self.order = np.argsort(self.x, kind="stable")
-        self.xs = self.x[self.order]
+        x = np.asarray(x, dtype=float)
+        self.q, self.inflate = _span_window(len(x), span)
+        self.order = np.argsort(x, kind="stable")
+        self.xs = x[self.order]
         self.rank = np.empty_like(self.order)
-        self.rank[self.order] = np.arange(len(self.x))
+        self.rank[self.order] = np.arange(len(x))
         self.op = _loess_operator(self.xs, self.xs, self.q, self.inflate,
                                   self_rows=np.arange(len(self.xs)))
         self.edf = float(self.op.hat_diag().sum())
-        self.offset = 0.0
-        self.target_sorted = np.zeros(len(self.x))
 
     def smooth(self, residual: np.ndarray) -> np.ndarray:
         self.target_sorted = residual[self.order]
@@ -246,10 +263,9 @@ class _LoessSmoother:
         self.offset = float(fitted.mean())
         return fitted - self.offset
 
-    def predict(self, x_new) -> np.ndarray:
-        x_new = np.asarray(x_new, dtype=float)
-        op = _loess_operator(self.xs, x_new, self.q, self.inflate)
-        return op.apply(self.target_sorted) - self.offset
+    def fitted(self) -> LoessSmooth:
+        return LoessSmooth(xs=self.xs, q=self.q, inflate=self.inflate,
+                           target_sorted=self.target_sorted, offset=self.offset)
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +277,6 @@ class SmootherSpec:
     kind: str  # "spline" | "loess"
     n_knots: int = 0
     span: float = 0.75
-
-    def label(self) -> str:
-        if self.kind == "spline":
-            return f"spline(knots={self.n_knots})"
-        return f"loess(span={self.span:g})"
 
 
 def spline_spec(n_knots: int) -> SmootherSpec:
@@ -280,7 +291,7 @@ def loess_spec(span: float) -> SmootherSpec:
 class GamModel:
     intercept: float
     specs: tuple[SmootherSpec, ...]
-    smooths: tuple
+    smooths: tuple  # one SplineSmooth or LoessSmooth per predictor
     train_min: np.ndarray
     train_max: np.ndarray
     fitted: np.ndarray
@@ -350,7 +361,7 @@ def backfit_gam(X, y, smoothers: Sequence[SmootherSpec]) -> GamModel:
     return GamModel(
         intercept=intercept,
         specs=tuple(smoothers),
-        smooths=tuple(workers),
+        smooths=tuple(w.fitted() for w in workers),
         train_min=X.min(axis=0),
         train_max=X.max(axis=0),
         fitted=total,

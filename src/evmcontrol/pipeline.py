@@ -9,8 +9,9 @@ cost / duration from the additive-model family chosen the same way.
 
 Everything is seeded through one configuration value, so a fixed
 ``RunConfig`` reproduces its outputs byte for byte.  Fitted models are
-cached (write-once, content-addressed by project fingerprint, seed, pivot
-level and the model settings) so repeated status queries do not refit.
+cached (content-addressed by project fingerprint, seed, pivot level and the
+model settings; an entry that loads is never rewritten) so repeated status
+queries do not refit.
 
 Performance defaults: learners with superlinear cost (SVM, forest, loess,
 SCV) train on seeded subsamples whose sizes live in ``RunConfig``; the
@@ -47,8 +48,9 @@ DEFAULT_EV_LEVELS = tuple(round(0.1 * k, 1) for k in range(1, 10))
 CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # Version of the pickled model layout, part of the model-cache key.  Bump it
 # whenever a cached artifact's meaning changes (2: reference_points are kept
-# in the order of reference_densities).
-CACHE_SCHEMA = 2
+# in the order of reference_densities; 3: entries hold fitted parameters
+# only, without the level's triads or training-time operators).
+CACHE_SCHEMA = 3
 
 
 def _stable_tag(name: str) -> int:
@@ -286,13 +288,10 @@ class RegressorArtifact:
 
 @dataclass
 class AnalysisArtifacts:
-    level_rows: TriadDataset
     density_model: density.DensityModel | None
     classifiers: dict
     regressors: dict
     hull: np.ndarray
-    t_grid: np.ndarray
-    c_grid: np.ndarray
     degenerate: bool = False
     # populated only for degenerate (zero-spread) clouds
     bbox: tuple[float, float, float, float] | None = None
@@ -387,30 +386,23 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
     if cached.exists():
         return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
     ds = run_ensemble(spec, config.runs, config.seed, [level])
-    _write_once(cached, lambda p: ds.write_csv(p))
+    _write_atomic(cached, lambda p: ds.write_csv(p))
     # analyse what a later refit reads back: the CSV rounds to 9 digits
     return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
 
 
-def _write_once(path: Path, writer: Callable[[Path], None], replace: bool = False) -> None:
-    """Content-addressed cache write: first writer wins, later ones no-op.
+def _write_atomic(path: Path, writer: Callable[[Path], None]) -> None:
+    """Write a cache entry to a temp file, then rename it over ``path``.
 
-    ``replace=True`` atomically overwrites an existing file instead; it
-    repairs an entry that failed to load.
+    Readers see a whole entry or none.  Callers write only an entry that is
+    missing or failed to load; entries are content-addressed and
+    deterministic, so a racing writer renames the same bytes into place.
     """
-    if path.exists() and not replace:
-        return
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     os.close(fd)
     try:
         writer(Path(tmp))
-        if replace:
-            os.replace(tmp, path)
-        else:
-            try:
-                os.link(tmp, path)  # atomic; fails if someone beat us to it
-            except FileExistsError:
-                pass
+        os.replace(tmp, path)
     finally:
         Path(tmp).unlink(missing_ok=True)
 
@@ -446,13 +438,10 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
                 pts[sub], y, config, mix_seed(seed, _stable_tag(target)), target
             )
         return AnalysisArtifacts(
-            level_rows=level_rows,
             density_model=None,
             classifiers=classifiers,
             regressors={},
             hull=convex_hull(pts),
-            t_grid=np.array([t.min(), t.max()]),
-            c_grid=np.array([c.min(), c.max()]),
             degenerate=True,
             bbox=(float(t.min()), float(t.max()), float(c.min()), float(c.max())),
             const_expectations={
@@ -492,13 +481,10 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
         regressors[target] = art
 
     return AnalysisArtifacts(
-        level_rows=level_rows,
         density_model=dens,
         classifiers=classifiers,
         regressors=regressors,
         hull=hull,
-        t_grid=t_grid,
-        c_grid=c_grid,
     )
 
 
@@ -559,17 +545,15 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
     model_key = _models_cache_key(config, spec, level)
     model_path = cache_dir / f"models_{model_key}.pkl"
     artifacts = None
-    unreadable = False
     if model_path.exists():
         try:
             with open(model_path, "rb") as fh:
                 artifacts = pickle.load(fh)
         except Exception:
-            unreadable = True  # refit below and overwrite the broken entry
+            pass  # refit below and replace the broken entry
     if artifacts is None:
         artifacts = _fit_level_models(config, spec, level_rows, level)
-        _write_once(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)),
-                    replace=unreadable)
+        _write_atomic(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))
 
     point = np.array([at, ac])
     if artifacts.degenerate:
@@ -631,7 +615,7 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         band_t=band_t,
         band_c=band_c,
     )
-    document = _build_document(config, spec, report, artifacts)
+    document = _build_document(config, spec, report, artifacts, level_rows)
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -661,7 +645,7 @@ def _polylines_json(polylines) -> list:
 
 
 def _build_document(config: RunConfig, spec: ProjectSpec, report: ControlReport,
-                    artifacts: AnalysisArtifacts) -> dict:
+                    artifacts: AnalysisArtifacts, level_rows: TriadDataset) -> dict:
     pv = baseline_pv(spec)
     if artifacts.degenerate:
         contours = {f"{lvl:g}": [] for lvl in CONTOUR_LEVELS}
@@ -677,10 +661,9 @@ def _build_document(config: RunConfig, spec: ProjectSpec, report: ControlReport,
             boundaries[target] = []
         else:
             boundaries[target] = _polylines_json(art.boundary.polylines)
-    rows = artifacts.level_rows
     rectangles = {}
     for lvl in (0.95, 0.75):
-        rect = density.percentile_rectangle(rows.t, rows.c, lvl)
+        rect = density.percentile_rectangle(level_rows.t, level_rows.c, lvl)
         rectangles[f"{lvl:g}"] = {
             "t_lo": rect.t_lo, "t_hi": rect.t_hi, "c_lo": rect.c_lo, "c_hi": rect.c_hi,
         }

@@ -205,10 +205,6 @@ def earliest_start_schedule(
     return schedule
 
 
-def project_finish(schedule: Mapping[str, tuple[float, float]]) -> float:
-    return max(fin for _, fin in schedule.values())
-
-
 @dataclass(frozen=True)
 class PVCurve:
     """Piecewise-linear cumulative planned value from (0, 0) to (PD, BAC)."""

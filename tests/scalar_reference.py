@@ -1,0 +1,101 @@
+"""Scalar, one-run-at-a-time simulation: the oracle for the vectorized ensemble.
+
+``evmcontrol.simulate.run_ensemble`` must give, run for run, the triads that
+``extract_triad(simulate_run(spec, fold(seed, i)), level)`` gives here.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from evmcontrol.errors import ValidationError
+from evmcontrol.project import ProjectSpec, earliest_start_schedule
+from evmcontrol.simulate import _activity_arrays, _sample_matrix
+
+
+def sample_durations(spec: ProjectSpec, run_seed: int) -> dict[str, float]:
+    """One duration vector keyed by activity id; deterministic in run_seed."""
+    ids, means, sds, _, _ = _activity_arrays(spec)
+    row = _sample_matrix(np.asarray([run_seed], dtype=np.uint64), means, sds)[0]
+    return {i: float(v) for i, v in zip(ids, row)}
+
+
+@dataclass(frozen=True)
+class RunTrace:
+    """One simulated realization: schedule plus cumulative AC/EV curves.
+
+    ``times`` holds the breakpoints (every activity start/finish event);
+    both curves are linear between breakpoints.
+    """
+
+    durations: dict[str, float]
+    schedule: dict[str, tuple[float, float]]
+    times: np.ndarray
+    ev_values: np.ndarray
+    ac_values: np.ndarray
+    final_t: float
+    final_c: float
+
+
+def simulate_run(spec: ProjectSpec, run_seed: int) -> RunTrace:
+    durations = sample_durations(spec, run_seed)
+    schedule = earliest_start_schedule(spec, durations)
+    events = {0.0}
+    for s, f in schedule.values():
+        events.add(s)
+        events.add(f)
+    times = np.array(sorted(events))
+    ev = np.zeros_like(times)
+    ac = np.zeros_like(times)
+    for a in spec.activities:
+        s, f = schedule[a.id]
+        frac = np.clip((times - s) / (f - s), 0.0, 1.0)
+        ev += a.budget * frac
+        ac += a.cost_rate * durations[a.id] * frac
+    final_t = max(f for _, f in schedule.values())
+    final_c = float(sum(a.cost_rate * durations[a.id] for a in spec.activities))
+    return RunTrace(
+        durations=durations,
+        schedule=schedule,
+        times=times,
+        ev_values=ev,
+        ac_values=ac,
+        final_t=float(final_t),
+        final_c=final_c,
+    )
+
+
+@dataclass(frozen=True)
+class Triad:
+    ev_level: float
+    t: float
+    c: float
+    final_t: float
+    final_c: float
+
+
+def extract_triad(trace: RunTrace, ev_level: float) -> Triad:
+    """Earliest EV-curve crossing of ``ev_level * BAC`` and the AC there."""
+    if not 0 < ev_level <= 1:
+        raise ValidationError("ev_level must lie in (0, 1]")
+    bac = float(trace.ev_values[-1])
+    if bac == 0:
+        return Triad(ev_level, 0.0, 0.0, trace.final_t, trace.final_c)
+    target = ev_level * bac
+    idx = int(np.searchsorted(trace.ev_values, target, side="left"))
+    idx = min(max(idx, 1), len(trace.times) - 1)
+    ev_lo, ev_hi = trace.ev_values[idx - 1], trace.ev_values[idx]
+    t_lo, t_hi = trace.times[idx - 1], trace.times[idx]
+    if ev_hi > ev_lo:
+        t = t_lo + (target - ev_lo) * (t_hi - t_lo) / (ev_hi - ev_lo)
+    else:
+        t = t_hi
+    c = float(np.interp(t, trace.times, trace.ac_values))
+    return Triad(ev_level, float(t), c, trace.final_t, trace.final_c)
+
+
+def project_finish(schedule: Mapping[str, tuple[float, float]]) -> float:
+    return max(fin for _, fin in schedule.values())

@@ -31,8 +31,9 @@ from evmcontrol.pipeline import (
 )
 from evmcontrol.project import baseline_pv, case_study_project
 from evmcontrol.rng import generator
-from evmcontrol.simulate import extract_triad, run_ensemble, simulate_run
+from evmcontrol.simulate import run_ensemble
 from evmcontrol.svm import svm_fit, svm_predict
+from scalar_reference import extract_triad, simulate_run
 
 TABLE_PV = [2598, 5196, 7955, 10714, 11757, 12759, 13761,
             15920, 18079, 20238, 22363, 23488, 24613]

@@ -1,4 +1,5 @@
 import pickle
+import pickletools
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.gam import (
+    GamModel,
     _LoessOperator,
     _LoessSmoother,
     anova_compare,
@@ -73,7 +75,7 @@ def test_loess_constant():
     x = rng.uniform(0, 5, 60)
     fitted, smoother = _loess_fit(x, np.full_like(x, 7.0), 0.4)
     assert np.abs(fitted - 7.0).max() <= 1e-12
-    predicted = smoother.predict(np.linspace(0, 5, 11)) + smoother.offset
+    predicted = smoother.fitted().predict(np.linspace(0, 5, 11)) + smoother.offset
     assert np.abs(predicted - 7.0).max() <= 1e-12
 
 
@@ -102,6 +104,86 @@ def test_loess_zero_spread_neighborhood_falls_back_to_mean():
     y = np.array([2.0, 4.0, 6.0, 1.0, 1.0, 1.0])
     fitted, _ = _loess_fit(x, y, 0.5)  # q = 3: each cluster is its own window
     assert fitted[:3] == pytest.approx([4.0, 4.0, 4.0])
+
+
+def _explicit_hat(smoother):
+    """Hat matrix of a training pass (sorted order): the unit vectors smoothed."""
+    return np.column_stack([smoother.op.apply(e) for e in np.eye(len(smoother.xs))])
+
+
+@pytest.mark.parametrize("x, span", [
+    (np.random.default_rng(17).uniform(0, 5, 40), 0.3),
+    (np.random.default_rng(18).uniform(0, 5, 40), 1.5),
+    (np.round(np.random.default_rng(19).uniform(0, 4, 60)), 0.2),
+    (np.repeat([0.0, 1.0, 2.0], 5), 0.2),  # tie groups wider than the window
+    (np.zeros(10), 0.05),
+])
+def test_loess_edf_is_trace_of_explicit_hat(x, span):
+    smoother = _LoessSmoother(x, span)
+    assert smoother.edf == pytest.approx(np.trace(_explicit_hat(smoother)), rel=1e-12, abs=1e-12)
+
+
+def test_loess_leverage_zero_outside_own_window():
+    # q = 3: the last x = 1 row lies outside the window its tie group shares
+    smoother = _LoessSmoother(np.array([0.0, 1, 1, 1, 1, 2]), 0.5)
+    assert smoother.q == 3
+    want = [1, 1 / 3, 1 / 3, 1 / 3, 0, 1]
+    np.testing.assert_allclose(np.diag(_explicit_hat(smoother)), want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(smoother.op.hat_diag(), want, rtol=0, atol=1e-15)
+
+
+def test_tie_groups_wider_than_loess_window_fit():
+    # both used to raise IndexError from hat_diag; a zero column now reaches
+    # the spline's own check, and fits next to a spline column that varies
+    assert _LoessSmoother(np.repeat([0.0, 1.0, 2.0], 5), 0.2).edf == pytest.approx(3.0)
+    with pytest.raises(ValidationError, match="distinct"):
+        backfit_gam(np.zeros((10, 2)), np.arange(10.0), [loess_spec(0.05), spline_spec(0)])
+    X = np.column_stack([np.zeros(10), np.arange(10.0)])
+    model = backfit_gam(X, np.arange(10.0), [loess_spec(0.05), spline_spec(0)])
+    assert model.edf == (1.0, 1.0)
+    assert np.abs(model.fitted - np.arange(10.0)).max() <= 1e-9
+
+
+def _pickled_names(blob: bytes) -> set:
+    """Every string a pickle's opcodes carry: class and module names among them."""
+    names = set()
+    for _, arg, _ in pickletools.genops(blob):
+        if isinstance(arg, str):
+            names.update(arg.split(" "))  # GLOBAL's argument is "module name"
+    return names
+
+
+FIT_TIME_CLASSES = {"_LoessOperator", "_LoessSmoother", "_SplineSmoother"}
+
+
+@pytest.mark.parametrize("specs", [
+    [loess_spec(0.3), loess_spec(1.5)],
+    [spline_spec(3), spline_spec(0)],
+    [spline_spec(4), loess_spec(0.6)],
+])
+def test_pickled_gam_predicts_bit_identically(specs):
+    rng = np.random.default_rng(20)
+    X = rng.uniform(0, 3, (300, 2))
+    y = np.sin(2 * X[:, 0]) + X[:, 1] ** 2 + 0.1 * rng.standard_normal(300)
+    model = backfit_gam(X, y, specs)
+    blob = pickle.dumps(model)
+    assert "GamModel" in _pickled_names(blob)
+    assert not _pickled_names(blob) & FIT_TIME_CLASSES
+    Q = rng.uniform(-0.5, 3.5, (200, 2))
+    got, got_flag = gam_predict(pickle.loads(blob), Q)
+    want, want_flag = gam_predict(model, Q)
+    assert got.tobytes() == want.tobytes()
+    assert got_flag.tolist() == want_flag.tolist()
+
+
+def test_pickled_loess_gam_holds_parameters_only():
+    # at the default training subsample and span 1 the training operators
+    # would be 3 x n x n doubles per smoother (108 MB)
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((1500, 2))
+    y = X[:, 0] + np.sin(X[:, 1]) + rng.standard_normal(1500)
+    model = backfit_gam(X, y, [loess_spec(1.0), loess_spec(1.0)])
+    assert len(pickle.dumps(model)) < 200_000
 
 
 @settings(max_examples=20, deadline=None)
@@ -281,7 +363,9 @@ def test_gam_beats_constant_predictor_under_signal():
 
 # Reference loess operator: the weighted moments recomputed from the weights
 # on every call, as first written.  The package's operator must match it bit
-# for bit, and its cached moments must not reach the pickled model.
+# for bit.  The reference raises IndexError where a tie group wider than the
+# window leaves a row outside its own window; there the package's edf must
+# be the trace of the explicit hat matrix instead.
 
 
 def _ref_apply(op, y_sorted):
@@ -324,8 +408,7 @@ def _bits(x):
 
 
 def _fit_or_error(X, y, specs):
-    # both versions must also fail alike; IndexError: a tie group wider than
-    # the loess window puts a row outside its own window
+    # both versions must also fail alike, except for the reference's IndexError
     try:
         return backfit_gam(X, y, specs)
     except (IndexError, NumericsError, ValidationError) as exc:
@@ -358,6 +441,16 @@ def test_backfit_matches_reference_loess_bitwise(problem):
     with mock.patch.object(_LoessOperator, "apply", _ref_apply), \
             mock.patch.object(_LoessOperator, "hat_diag", _ref_hat_diag):
         want = _fit_or_error(X, y, specs)
+    if isinstance(want, str) and want.startswith("IndexError"):
+        assert not (isinstance(got, str) and got.startswith("IndexError"))
+        for j, spec in enumerate(specs):
+            if spec.kind == "loess":
+                smoother = _LoessSmoother(X[:, j], spec.span)
+                assert smoother.edf == pytest.approx(np.trace(_explicit_hat(smoother)),
+                                                     rel=1e-12, abs=1e-12)
+                if isinstance(got, GamModel):
+                    assert got.edf[j] == smoother.edf
+        return
     if isinstance(want, str):
         assert got == want
         return

