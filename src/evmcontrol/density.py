@@ -31,6 +31,7 @@ import numpy as np
 from scipy import fft
 from scipy.optimize import minimize
 
+from . import csvio
 from .errors import ValidationError
 from .rng import generator
 
@@ -361,7 +362,5 @@ def write_density_grid_csv(model: DensityModel, ts, cs, path: str | Path) -> Non
     dens = model.evaluate(flat)
     refs = model.reference_densities
     score = exceedance(refs, dens) if refs.size else np.full(len(flat), np.nan)
-    cols = np.column_stack([flat[:, 0], flat[:, 1], dens, score])
-    np.savetxt(
-        path, cols, fmt="%.9g", delimiter=",", header="t,c,density,anomaly_score", comments=""
-    )
+    csvio.write_csv(path, "t,c,density,anomaly_score",
+                    [("%.9g", col) for col in (flat[:, 0], flat[:, 1], dens, score)])

@@ -27,14 +27,14 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
+import secrets
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
 import numpy as np
 
-from . import classify, density, gam
+from . import classify, csvio, density, gam
 from .errors import ValidationError
 from .forest import forest_fit, forest_predict
 from .geometry import convex_hull, marching_squares, points_in_hull
@@ -143,16 +143,23 @@ def _level_filename(level: float) -> str:
 
 
 def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
-    """Run the ensemble and write one triad CSV per pivot level + manifest."""
+    """Run the ensemble and write one triad CSV per pivot level + manifest.
+
+    The old manifest is removed before the first CSV is replaced and the new
+    one is written last, so a run stopped midway leaves no manifest that
+    points at files it did not write.
+    """
     if spec is None:
         spec = load_project(config.project)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dataset = run_ensemble(spec, config.runs, config.seed, config.ev_levels)
+    manifest_path = out / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     files = {}
-    for level in config.ev_levels:
+    for index, level in enumerate(config.ev_levels):
         name = _level_filename(level)
-        dataset.rows_at(level).write_csv(out / name)
+        _write_atomic(out / name, dataset.pivot(index).write_csv)
         files[f"{level:.9g}"] = name
     manifest = {
         "fingerprint": spec.fingerprint(),
@@ -164,7 +171,7 @@ def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
         "files": files,
         "config": config.to_dict(),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_atomic(manifest_path, lambda p: p.write_text(json.dumps(manifest, indent=2)))
     return manifest
 
 
@@ -258,11 +265,9 @@ def _fit_final(report: SelectionReport, X, y, config: RunConfig, seed: int):
 
 @dataclass
 class ClassifierArtifact:
-    target: str
     degenerate: bool
     fixed_probability: float | None
     family: str
-    params: dict
     model: object | None
     selection: dict
     boundary: classify.DecisionBoundary | None = None
@@ -278,12 +283,9 @@ def classifier_predict_proba(art: ClassifierArtifact, X) -> np.ndarray:
 
 @dataclass
 class RegressorArtifact:
-    target: str
     family: str
-    params: dict
     model: gam.GamModel
     selection: dict
-    anova: dict
 
 
 @dataclass
@@ -298,21 +300,19 @@ class AnalysisArtifacts:
     const_expectations: dict | None = None
 
 
-def _select_classifier(X, y, config: RunConfig, seed: int, target: str) -> ClassifierArtifact:
+def _select_classifier(X, y, config: RunConfig, seed: int) -> ClassifierArtifact:
     if y.all() or not y.any():
         fixed = 1.0 if y.all() else 0.0
         return ClassifierArtifact(
-            target=target, degenerate=True, fixed_probability=fixed,
-            family="degenerate", params={}, model=None,
+            degenerate=True, fixed_probability=fixed, family="degenerate", model=None,
             selection={"note": "single-class target; probability fixed", "fixed": fixed},
         )
     reports, best = _select(X, y, CLASSIFIERS, config, seed)
     chosen = reports[best]
-    params = chosen.best_params()
     model = _fit_final(chosen, X, y, config, seed)
     selection = {
         "chosen_family": chosen.family,
-        "chosen_params": dict(params),
+        "chosen_params": dict(chosen.best_params()),
         "outer_error": chosen.outer_mean,
         "outer_error_std": chosen.outer_std,
         "per_family": {r.family: r.outer_mean for r in reports},
@@ -321,42 +321,23 @@ def _select_classifier(X, y, config: RunConfig, seed: int, target: str) -> Class
     if chosen.family == "qda":
         selection["class_priors"] = model.priors.tolist()
     return ClassifierArtifact(
-        target=target, degenerate=False, fixed_probability=None,
-        family=chosen.family, params=dict(params), model=model,
+        degenerate=False, fixed_probability=None, family=chosen.family, model=model,
         selection=selection,
     )
 
 
-def _select_regressor(X, y, config: RunConfig, seed: int, target: str) -> RegressorArtifact:
+def _select_regressor(X, y, config: RunConfig, seed: int) -> RegressorArtifact:
     reports, best = _select(X, y, REGRESSORS, config, seed)
     chosen = reports[best]
-    params = chosen.best_params()
-    model = _fit_final(chosen, X, y, config, seed)
-    # head-to-head comparison of the two family winners on the same rows
-    other_model = _fit_final(reports[1 - best], X, y, config, seed)
-    small, large = sorted([model, other_model], key=lambda m: m.df)
-    try:
-        anova = gam.anova_compare(small, large)
-        anova_dict = {
-            "f_stat": anova.f_stat,
-            "p_value": anova.p_value,
-            "df_num": anova.df_num,
-            "df_den": anova.df_den,
-            "larger_model_better": anova.p_value < 0.05,
-            "note": anova.note,
-        }
-    except ValidationError as exc:
-        anova_dict = {"note": f"comparison unavailable: {exc}"}
     return RegressorArtifact(
-        target=target, family=chosen.family, params=dict(params), model=model,
+        family=chosen.family, model=_fit_final(chosen, X, y, config, seed),
         selection={
             "chosen_family": chosen.family,
-            "chosen_params": dict(params),
+            "chosen_params": dict(chosen.best_params()),
             "outer_mse": chosen.outer_mean,
             "outer_mse_std": chosen.outer_std,
             "per_family": {r.family: r.outer_mean for r in reports},
         },
-        anova=anova_dict,
     )
 
 
@@ -386,25 +367,26 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
     if cached.exists():
         return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
     ds = run_ensemble(spec, config.runs, config.seed, [level])
-    _write_atomic(cached, lambda p: ds.write_csv(p))
+    _write_atomic(cached, ds.write_csv)
     # analyse what a later refit reads back: the CSV rounds to 9 digits
     return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
 
 
 def _write_atomic(path: Path, writer: Callable[[Path], None]) -> None:
-    """Write a cache entry to a temp file, then rename it over ``path``.
+    """Write a file through a temp file, then rename it over ``path``.
 
-    Readers see a whole entry or none.  Callers write only an entry that is
-    missing or failed to load; entries are content-addressed and
-    deterministic, so a racing writer renames the same bytes into place.
+    Readers see a whole file or none.  Cache entries are written only when
+    missing or failed to load; they are content-addressed and deterministic,
+    so a racing writer renames the same bytes into place.  The writer
+    creates the temp file under a random name, so it gets the permissions
+    the umask gives a new file.
     """
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
     try:
-        writer(Path(tmp))
+        writer(tmp)
         os.replace(tmp, path)
     finally:
-        Path(tmp).unlink(missing_ok=True)
+        tmp.unlink(missing_ok=True)
 
 
 def _models_cache_key(config: RunConfig, spec: ProjectSpec, level: float) -> str:
@@ -435,7 +417,7 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
         for target in ("over_budget", "late"):
             y = (level_rows.over_budget if target == "over_budget" else level_rows.late)[sub]
             classifiers[target] = _select_classifier(
-                pts[sub], y, config, mix_seed(seed, _stable_tag(target)), target
+                pts[sub], y, config, mix_seed(seed, _stable_tag(target))
             )
         return AnalysisArtifacts(
             density_model=None,
@@ -467,7 +449,7 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
     classifiers = {}
     for target in ("over_budget", "late"):
         y = (level_rows.over_budget if target == "over_budget" else level_rows.late)[sub]
-        art = _select_classifier(Xs, y, config, mix_seed(seed, _stable_tag(target)), target)
+        art = _select_classifier(Xs, y, config, mix_seed(seed, _stable_tag(target)))
         if not art.degenerate:
             art.boundary = classify.decision_boundary(
                 lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, hull
@@ -476,9 +458,8 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
 
     regressors = {}
     for target, values in (("final_cost", level_rows.final_c), ("final_duration", level_rows.final_t)):
-        art = _select_regressor(Xs, values[sub], config,
-                                mix_seed(seed, _stable_tag(target)), target)
-        regressors[target] = art
+        regressors[target] = _select_regressor(Xs, values[sub], config,
+                                               mix_seed(seed, _stable_tag(target)))
 
     return AnalysisArtifacts(
         density_model=dens,
@@ -633,11 +614,10 @@ def write_prediction_grid_csv(artifacts: AnalysisArtifacts, ts, cs, path) -> Non
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     cost, flag_cost = gam.gam_predict(artifacts.regressors["final_cost"].model, flat)
     duration, flag_dur = gam.gam_predict(artifacts.regressors["final_duration"].model, flat)
-    cols = np.column_stack([flat[:, 0], flat[:, 1], cost, duration,
-                            (flag_cost | flag_dur).astype(int)])
-    np.savetxt(path, cols, fmt=["%.9g", "%.9g", "%.9g", "%.9g", "%d"], delimiter=",",
-               header="t,c,expected_final_cost,expected_final_duration,extrapolated",
-               comments="")
+    csvio.write_csv(path, "t,c,expected_final_cost,expected_final_duration,extrapolated", [
+        ("%.9g", flat[:, 0]), ("%.9g", flat[:, 1]), ("%.9g", cost), ("%.9g", duration),
+        ("%d", flag_cost | flag_dur),
+    ])
 
 
 def _polylines_json(polylines) -> list:

@@ -24,13 +24,14 @@ chunking, threading or row order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtri
 
+from . import csvio
 from .errors import NumericsError, ValidationError
 from .project import ProjectSpec
 from .rng import fold, unit_uniform
@@ -39,6 +40,8 @@ EPS_DURATION = 1e-6
 MAX_REJECTIONS = 1000
 
 TRIAD_CSV_HEADER = "run,ev_level,t,c,final_t,final_c,over_budget,late"
+# the CSV columns, which are also the names of TriadDataset's row fields
+TRIAD_COLUMNS = tuple(TRIAD_CSV_HEADER.split(","))
 
 _CHUNK_RUNS = 16384
 
@@ -103,36 +106,38 @@ class TriadDataset:
         mask = np.abs(self.ev_level - level) <= 1e-9 * max(1.0, abs(level))
         if not mask.any():
             raise ValidationError(f"no rows at ev_level {level}")
-        return TriadDataset(
-            fingerprint=self.fingerprint,
-            seed=self.seed,
-            n_runs=int(mask.sum()),
-            ev_levels=(level,),
-            run=self.run[mask],
-            ev_level=self.ev_level[mask],
-            t=self.t[mask],
-            c=self.c[mask],
-            final_t=self.final_t[mask],
-            final_c=self.final_c[mask],
-            over_budget=self.over_budget[mask],
-            late=self.late[mask],
-        )
+        return self._subset(mask, level)
+
+    def pivot(self, index: int) -> "TriadDataset":
+        """Rows of pivot ``ev_levels[index]``, taken by stride.
+
+        Valid for the run-major rows :func:`run_ensemble` returns, where the
+        pivot's rows are every ``len(ev_levels)``-th row from ``index``.
+        """
+        return self._subset(slice(index, None, len(self.ev_levels)), self.ev_levels[index])
+
+    def _subset(self, rows, level: float) -> "TriadDataset":
+        run = self.run[rows]
+        return replace(self, n_runs=len(run), ev_levels=(level,),
+                       **{name: getattr(self, name)[rows] for name in TRIAD_COLUMNS})
 
     def write_csv(self, path: str | Path) -> None:
-        cols = np.column_stack(
-            [
-                self.run,
-                self.ev_level,
-                self.t,
-                self.c,
-                self.final_t,
-                self.final_c,
-                self.over_budget.astype(int),
-                self.late.astype(int),
-            ]
-        )
-        fmt = ["%d", "%.9g", "%.9g", "%.9g", "%.9g", "%.9g", "%d", "%d"]
-        np.savetxt(path, cols, fmt=fmt, delimiter=",", header=TRIAD_CSV_HEADER, comments="")
+        """Write the rows under ``TRIAD_CSV_HEADER``: ints as ``%d``, floats
+        as ``%.9g``, booleans as ``0``/``1``.  A file's single pivot level is
+        formatted once, not once per row."""
+        levels = self.ev_level.astype(np.float64)
+        bits = levels.view(np.int64)
+        constant = bits.size > 0 and bool((bits == bits[0]).all())
+        csvio.write_csv(path, TRIAD_CSV_HEADER, [
+            ("%d", self.run),
+            ("%.9g", levels[0] if constant else levels),
+            ("%.9g", self.t),
+            ("%.9g", self.c),
+            ("%.9g", self.final_t),
+            ("%.9g", self.final_c),
+            ("%d", self.over_budget),
+            ("%d", self.late),
+        ])
 
 
 def read_triads_csv(path: str | Path, fingerprint: str = "", seed: int = 0) -> TriadDataset:
@@ -143,11 +148,10 @@ def read_triads_csv(path: str | Path, fingerprint: str = "", seed: int = 0) -> T
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             values = np.loadtxt(fh, delimiter=",", ndmin=2)
     values = values.reshape(-1, len(names))  # header only: (0, 1) -> (0, columns)
-    columns = TRIAD_CSV_HEADER.split(",")
-    missing = [name for name in columns if name not in names]
+    missing = [name for name in TRIAD_COLUMNS if name not in names]
     if missing:
         raise ValidationError(f"{path}: triad CSV lacks column(s) {', '.join(missing)}")
-    raw = {name: values[:, names.index(name)] for name in columns}
+    raw = {name: values[:, names.index(name)] for name in TRIAD_COLUMNS}
     levels = tuple(np.unique(raw["ev_level"]).tolist())
     n_levels = max(len(levels), 1)
     return TriadDataset(

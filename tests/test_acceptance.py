@@ -248,7 +248,7 @@ def test_criterion_06_no_time_decision_boundary(late_reference):
     """
     ref = late_reference
     config = RunConfig(project="case_study.json")
-    art = _select_classifier(ref.train_X, ref.train_y, config, seed=906, target="late")
+    art = _select_classifier(ref.train_X, ref.train_y, config, seed=906)
     ok, detail = _time_boundary_checks(lambda Q: classifier_predict_proba(art, Q), ref)
     assert _verdict(
         6, "delay classifier's 0.5 boundary lies where the simulation puts it", ok,

@@ -90,6 +90,54 @@ def test_simulate_single_run(tmp_path):
     assert len((tmp_path / manifest["files"]["0.5"]).read_text().splitlines()) == 2
 
 
+def test_simulate_stopped_midway_leaves_no_manifest(tmp_path, monkeypatch):
+    """A rerun that fails on its third pivot must not leave the previous
+    run's manifest pointing at files it replaced."""
+    levels = (0.1, 0.3, 0.5, 0.7)
+    cmd_simulate(small_config(tmp_path, runs=50, ev_levels=levels))
+    assert (tmp_path / "manifest.json").exists()
+    write_csv = pipeline.TriadDataset.write_csv
+    calls = []
+
+    def failing_write_csv(self, path):
+        calls.append(path)
+        if len(calls) == 3:
+            Path(path).write_text("run,ev_level\n1,")
+            raise OSError("disk full")
+        write_csv(self, path)
+
+    monkeypatch.setattr(pipeline.TriadDataset, "write_csv", failing_write_csv)
+    with pytest.raises(OSError, match="disk full"):
+        cmd_simulate(small_config(tmp_path, runs=60, seed=6, ev_levels=levels))
+    assert not (tmp_path / "manifest.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        pipeline._level_filename(level) for level in levels]
+    # the file that failed was not replaced by its partial write
+    assert len((tmp_path / pipeline._level_filename(0.5)).read_text().splitlines()) == 51
+
+
+def test_simulate_files_get_the_umask_permissions(tmp_path):
+    manifest = cmd_simulate(small_config(tmp_path, runs=20))
+    plain = tmp_path / "plain.txt"
+    plain.write_text("")
+    mode = plain.stat().st_mode
+    assert (tmp_path / "manifest.json").stat().st_mode == mode
+    assert (tmp_path / manifest["files"]["0.5"]).stat().st_mode == mode
+
+
+def test_pivot_csv_same_from_simulate_and_fresh_analysis(tmp_path):
+    """The 0.5 pivot's CSV is the same file whether ``simulate`` wrote it
+    among nine pivots or ``analyze`` simulated that pivot alone."""
+    cfg = small_config(tmp_path / "data", runs=700, ev_levels=pipeline.DEFAULT_EV_LEVELS)
+    manifest = cmd_simulate(cfg)
+    fresh = small_config(tmp_path / "fresh", runs=700)
+    spec = load_project(fresh.project)
+    pipeline._load_or_simulate_level(fresh, spec, 0.5, None)
+    [cached] = (tmp_path / "fresh" / "cache").glob("triads_*.csv")
+    simulated = tmp_path / "data" / manifest["files"]["0.5"]
+    assert cached.read_bytes() == simulated.read_bytes()
+
+
 def test_report_fields_and_identities(analysis):
     cfg, result = analysis
     r = result.report
@@ -255,9 +303,8 @@ def test_learner_table_matches_direct_calls(name, tmp_path):
     direct = DIRECT_PREDICT[name](model, Q)
     cv_predict = pipeline._family(name, 15, 3).fit(X, y, params)(Q)
     if learner.kind == "classifier":
-        art = pipeline.ClassifierArtifact(target="late", degenerate=False,
-                                          fixed_probability=None, family=name,
-                                          params=params, model=model, selection={})
+        art = pipeline.ClassifierArtifact(degenerate=False, fixed_probability=None,
+                                          family=name, model=model, selection={})
         np.testing.assert_array_equal(classifier_predict_proba(art, Q), direct)
         np.testing.assert_array_equal(cv_predict, direct > 0.5)
     else:

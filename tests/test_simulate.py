@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.project import Activity, baseline_pv, make_project
 from evmcontrol.rng import fold
-from evmcontrol.simulate import TRIAD_CSV_HEADER, read_triads_csv, run_ensemble
+from evmcontrol.simulate import TRIAD_COLUMNS, TRIAD_CSV_HEADER, read_triads_csv, run_ensemble
 from scalar_reference import RunTrace, extract_triad, sample_durations, simulate_run
 
 ZERO_VAR_T50 = 5 + 549.5 / 1002  # PV-curve crossing of half the budget
@@ -220,6 +220,11 @@ def test_rows_at_level(case_study):
     assert np.all(np.abs(at.ev_level - 0.4) < 1e-12)
     with pytest.raises(ValidationError):
         ds.rows_at(0.55)
+    for index, level in enumerate(ds.ev_levels):  # the stride path cmd_simulate takes
+        by_stride, by_mask = ds.pivot(index), ds.rows_at(level)
+        assert (by_stride.n_runs, by_stride.ev_levels) == (by_mask.n_runs, by_mask.ev_levels)
+        for name in TRIAD_COLUMNS:
+            assert np.array_equal(getattr(by_stride, name), getattr(by_mask, name)), name
 
 
 @settings(max_examples=20, deadline=None)
