@@ -72,27 +72,93 @@ def normal_scale_bandwidth(points) -> np.ndarray:
     return factor * cov
 
 
-def _scv_criterion_factory(pts: np.ndarray, G: np.ndarray):
-    """Closed-form SCV objective over candidate H for a fixed pilot G."""
-    n = len(pts)
-    iu, ju = np.triu_indices(n, k=1)
-    du = pts[iu, 0] - pts[ju, 0]
-    dv = pts[iu, 1] - pts[ju, 1]
-    p_uu, p_uv, p_vv = du * du, du * dv, dv * dv
+# SCV pair sums run in leaves of at most _PAIR_LEAF pairs, and kernel sums in
+# row blocks of about _EVAL_BLOCK entries, each in buffers reused from leaf to
+# leaf or block to block: a few MB of working memory at any sample size.  Both
+# do the float operations of one whole-array expression in the same order, so
+# every result is bit for bit that expression's.  Row blocks are a multiple of
+# _GEMM_ROWS rows because OpenBLAS DGEMM rounds an entry by the register tile
+# that holds its row within the call (its SkylakeX kernel tiles rows by 12).
+_PAIR_LEAF = 2**14
+_EVAL_BLOCK = 2**17
+_GEMM_ROWS = 24
 
-    def phi_sum(S: np.ndarray) -> float:
-        # sum over all ordered pairs (incl. i = j) of the N(0, S) density
+
+def _pairwise_tree_sum(n: int, leaf_sum, leaf: int = _PAIR_LEAF) -> float:
+    """``np.sum`` of an n-element array whose leaves come from ``leaf_sum``.
+
+    numpy sums a contiguous float array pairwise: it halves the length,
+    rounded down to a multiple of 8, until at most 128 elements remain.
+    Splitting the same way down to ``leaf`` elements (>= 128) and summing
+    each leaf with ``np.sum`` (``leaf_sum(lo, hi)``) adds the same numbers
+    in the same tree, so the result equals ``np.sum`` of the whole array.
+    """
+
+    def node(lo: int, m: int) -> float:
+        if m <= leaf:
+            return leaf_sum(lo, lo + m)
+        half = m // 2
+        half -= half % 8
+        return node(lo, half) + node(lo + half, m - half)
+
+    return node(0, n)
+
+
+class _PairKernelSum:
+    """The N(0, S) density at x_i - x_j, summed over all ordered pairs (i, j).
+
+    The squared differences of the n(n - 1)/2 pairs i < j are stored once,
+    row by row in ``np.triu_indices`` order; each call evaluates the kernel
+    leaf by leaf in two reused buffers.
+    """
+
+    def __init__(self, pts: np.ndarray):
+        n = len(pts)
+        self.n = n
+        self.prods = np.empty((3, n * (n - 1) // 2))
+        start = 0
+        for i in range(n - 1):
+            du = pts[i, 0] - pts[i + 1 :, 0]
+            dv = pts[i, 1] - pts[i + 1 :, 1]
+            stop = start + du.size
+            np.multiply(du, du, out=self.prods[0, start:stop])
+            np.multiply(du, dv, out=self.prods[1, start:stop])
+            np.multiply(dv, dv, out=self.prods[2, start:stop])
+            start = stop
+        size = min(self.prods.shape[1], _PAIR_LEAF)
+        self._q = np.empty(size)
+        self._tmp = np.empty(size)
+
+    def __call__(self, S: np.ndarray) -> float:
         det = S[0, 0] * S[1, 1] - S[0, 1] ** 2
         if not np.isfinite(det) or det <= 0:
             return np.inf
         a00 = S[1, 1] / det
         a11 = S[0, 0] / det
-        a01 = -S[0, 1] / det
-        q = a00 * p_uu + 2 * a01 * p_uv + a11 * p_vv
+        a01x2 = 2 * (-S[0, 1] / det)
+        p_uu, p_uv, p_vv = self.prods
+
+        def leaf_sum(lo: int, hi: int) -> float:
+            # -0.5 * (a00 * p_uu + 2 * a01 * p_uv + a11 * p_vv), then exp
+            q, tmp = self._q[: hi - lo], self._tmp[: hi - lo]
+            np.multiply(p_uu[lo:hi], a00, out=q)
+            np.multiply(p_uv[lo:hi], a01x2, out=tmp)
+            np.add(q, tmp, out=q)
+            np.multiply(p_vv[lo:hi], a11, out=tmp)
+            np.add(q, tmp, out=q)
+            np.multiply(q, -0.5, out=q)
+            np.exp(q, out=q)
+            return q.sum()
+
         with np.errstate(under="ignore"):
-            total = n + 2.0 * np.exp(-0.5 * q).sum()
+            total = self.n + 2.0 * _pairwise_tree_sum(self.prods.shape[1], leaf_sum)
         return total / (2 * np.pi * np.sqrt(det))
 
+
+def _scv_criterion_factory(pts: np.ndarray, G: np.ndarray):
+    """Closed-form SCV objective over candidate H for a fixed pilot G."""
+    n = len(pts)
+    phi_sum = _PairKernelSum(pts)
     const_2g = phi_sum(2 * G)
 
     def criterion(H: np.ndarray) -> float:
@@ -130,8 +196,8 @@ def scv_bandwidth(
     ``SCV_MIN_POINTS`` points or when the optimizer fails to improve.
     """
     pts = _as_points(points)
-    h0 = normal_scale_bandwidth(pts)
     if len(pts) < SCV_MIN_POINTS:
+        h0 = normal_scale_bandwidth(pts)
         warnings.warn(
             f"fewer than {SCV_MIN_POINTS} points: falling back to the normal-scale bandwidth"
         )
@@ -139,10 +205,10 @@ def scv_bandwidth(
     if len(pts) > subsample:
         keep = generator(seed, 0xBA17D).choice(len(pts), size=subsample, replace=False)
         pts = pts[np.sort(keep)]
-        h0 = normal_scale_bandwidth(pts)
 
-    pilot = normal_scale_bandwidth(pts)
-    criterion = _scv_criterion_factory(pts, pilot)
+    # the normal-scale bandwidth is both the start and the pilot G
+    h0 = normal_scale_bandwidth(pts)
+    criterion = _scv_criterion_factory(pts, h0)
 
     chol = np.linalg.cholesky(h0)
     theta0 = np.array([np.log(chol[0, 0]), chol[1, 0], np.log(chol[1, 1])])
@@ -154,7 +220,7 @@ def scv_bandwidth(
         options={"maxiter": maxiter, "xatol": 1e-3, "fatol": abs(f0) * 1e-7},
     )
     h_opt = _theta_to_h(result.x)
-    if not np.isfinite(result.fun) or result.fun >= criterion(h0):
+    if not np.isfinite(result.fun) or result.fun >= f0:
         warnings.warn("SCV optimizer failed to improve; returning the normal-scale bandwidth")
         return h0
     return check_bandwidth(h_opt)
@@ -167,16 +233,31 @@ def _gaussian_eval(centers: np.ndarray, H: np.ndarray, queries: np.ndarray) -> n
     norm = 1.0 / (2 * np.pi * np.sqrt(det) * len(centers))
     ca = centers @ A
     rc = (ca * centers).sum(axis=1)
-    out = np.empty(len(queries))
-    chunk = max(1, int(4_000_000 // max(len(centers), 1)))
-    for start in range(0, len(queries), chunk):
-        q = queries[start : start + chunk]
+    n_q = len(queries)
+    out = np.empty(n_q)
+    rows = max(1, _EVAL_BLOCK // (_GEMM_ROWS * max(len(centers), 1))) * _GEMM_ROWS
+    bounds = list(range(0, n_q, rows)) + [n_q]
+    if n_q > 1 and bounds[-1] - bounds[-2] == 1:
+        # a one-row block would take BLAS GEMV, whose bits differ from GEMM's
+        del bounds[-2]
+    size = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
+    sq = np.empty((size, len(centers)))
+    cross = np.empty_like(sq)
+    for lo, hi in zip(bounds, bounds[1:]):
+        q = queries[lo:hi]
         qa = q @ A
         rq = (qa * q).sum(axis=1)
-        sq = rq[:, None] + rc[None, :] - 2.0 * (qa @ centers.T)
-        np.maximum(sq, 0.0, out=sq)  # clip round-off negatives
+        s, g = sq[: hi - lo], cross[: hi - lo]
+        # (rq + rc) - 2 * (qa @ centers.T), clipped, then exp(-0.5 * .)
+        np.matmul(qa, centers.T, out=g)
+        np.multiply(g, 2.0, out=g)
+        np.add(rq[:, None], rc[None, :], out=s)
+        np.subtract(s, g, out=s)
+        np.maximum(s, 0.0, out=s)  # clip round-off negatives
+        np.multiply(s, -0.5, out=s)
         with np.errstate(under="ignore"):
-            out[start : start + chunk] = np.exp(-0.5 * sq).sum(axis=1) * norm
+            np.exp(s, out=s)
+        out[lo:hi] = s.sum(axis=1) * norm
     return out
 
 

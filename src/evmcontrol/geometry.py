@@ -11,13 +11,43 @@ from __future__ import annotations
 import numpy as np
 
 
+def _drop_interior(pts: np.ndarray) -> np.ndarray:
+    """Drop the points strictly inside the polygon of the extreme points.
+
+    The polygon joins the points extreme in eight directions: the axes and,
+    on the bounding box scaled to a unit square, its diagonals.  No point
+    inside it can be a hull vertex (Akl & Toussaint 1978).  A point is
+    dropped only when it lies inside every edge by a margin of 1e-9 of the
+    bounding box's area, far above the round-off of the test and of the
+    chain's orientation tests, so the hull is unchanged.
+    """
+    if len(pts) < 5:
+        return pts
+    x, y = pts[:, 0], pts[:, 1]
+    u = (x - x.min()) / max(np.ptp(x), 1e-300)
+    v = (y - y.min()) / max(np.ptp(y), 1e-300)
+    # counter-clockwise: left, lower left, bottom, lower right, right, ...
+    corners = pts[[x.argmin(), (u + v).argmin(), y.argmin(), (u - v).argmax(),
+                   x.argmax(), (u + v).argmax(), y.argmax(), (u - v).argmin()]]
+    # an extreme point may serve several directions: the polygon has fewer sides
+    edges = [(a, b) for a, b in zip(corners, np.roll(corners, -1, axis=0)) if (a != b).any()]
+    if len(edges) < 3:
+        return pts
+    tol = 1e-9 * np.ptp(x) * np.ptp(y)
+    inside = np.ones(len(pts), dtype=bool)
+    for a, b in edges:
+        inside &= (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) > tol
+    return pts[~inside]
+
+
 def convex_hull(points) -> np.ndarray:
     """Andrew's monotone chain; returns hull vertices counter-clockwise.
 
     Degenerate inputs (all collinear) return the two extreme points.
+    Points inside the polygon of the extreme points are dropped first.
     The chain runs on Python floats, which round exactly as float64 does.
     """
-    pts = np.unique(np.asarray(points, dtype=float), axis=0)
+    pts = np.unique(_drop_interior(np.asarray(points, dtype=float)), axis=0)
     if len(pts) <= 2:
         return pts
     order = np.lexsort((pts[:, 1], pts[:, 0]))

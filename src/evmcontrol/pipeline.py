@@ -28,6 +28,7 @@ import json
 import os
 import pickle
 import secrets
+import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Mapping
@@ -530,8 +531,9 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         try:
             with open(model_path, "rb") as fh:
                 artifacts = pickle.load(fh)
-        except Exception:
-            pass  # refit below and replace the broken entry
+        except Exception as exc:  # refit below and replace the broken entry
+            warnings.warn(f"model cache entry {model_path} failed to load "
+                          f"({type(exc).__name__}: {exc}); refitting it")
     if artifacts is None:
         artifacts = _fit_level_models(config, spec, level_rows, level)
         _write_atomic(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))

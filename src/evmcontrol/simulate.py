@@ -43,7 +43,7 @@ TRIAD_CSV_HEADER = "run,ev_level,t,c,final_t,final_c,over_budget,late"
 # the CSV columns, which are also the names of TriadDataset's row fields
 TRIAD_COLUMNS = tuple(TRIAD_CSV_HEADER.split(","))
 
-_CHUNK_RUNS = 16384
+_CHUNK_RUNS = 2048
 
 
 def _activity_arrays(spec: ProjectSpec):

@@ -1,7 +1,12 @@
-"""Scalar, one-run-at-a-time simulation: the oracle for the vectorized ensemble.
+"""Oracles for the package's vectorized and blocked code.
 
-``evmcontrol.simulate.run_ensemble`` must give, run for run, the triads that
+Scalar, one-run-at-a-time simulation: ``evmcontrol.simulate.run_ensemble``
+must give, run for run, the triads that
 ``extract_triad(simulate_run(spec, fold(seed, i)), level)`` gives here.
+
+Whole-array Gaussian sums: ``density._gaussian_eval`` and
+``density._PairKernelSum`` must give bit for bit what :func:`gaussian_eval`
+and :func:`scv_phi_sum` give, each as one expression over large temporaries.
 """
 
 from __future__ import annotations
@@ -99,3 +104,42 @@ def extract_triad(trace: RunTrace, ev_level: float) -> Triad:
 
 def project_finish(schedule: Mapping[str, tuple[float, float]]) -> float:
     return max(fin for _, fin in schedule.values())
+
+
+def gaussian_eval(centers: np.ndarray, H: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mean Gaussian kernel density, one expression per 4M-element chunk."""
+    det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
+    A = np.array([[H[1, 1], -H[0, 1]], [-H[0, 1], H[0, 0]]]) / det
+    norm = 1.0 / (2 * np.pi * np.sqrt(det) * len(centers))
+    ca = centers @ A
+    rc = (ca * centers).sum(axis=1)
+    out = np.empty(len(queries))
+    chunk = max(1, int(4_000_000 // max(len(centers), 1)))
+    for start in range(0, len(queries), chunk):
+        q = queries[start : start + chunk]
+        qa = q @ A
+        rq = (qa * q).sum(axis=1)
+        sq = rq[:, None] + rc[None, :] - 2.0 * (qa @ centers.T)
+        np.maximum(sq, 0.0, out=sq)
+        with np.errstate(under="ignore"):
+            out[start : start + chunk] = np.exp(-0.5 * sq).sum(axis=1) * norm
+    return out
+
+
+def scv_phi_sum(pts: np.ndarray, S: np.ndarray) -> float:
+    """Sum over all ordered pairs (incl. i = j) of the N(0, S) density."""
+    n = len(pts)
+    iu, ju = np.triu_indices(n, k=1)
+    du = pts[iu, 0] - pts[ju, 0]
+    dv = pts[iu, 1] - pts[ju, 1]
+    p_uu, p_uv, p_vv = du * du, du * dv, dv * dv
+    det = S[0, 0] * S[1, 1] - S[0, 1] ** 2
+    if not np.isfinite(det) or det <= 0:
+        return np.inf
+    a00 = S[1, 1] / det
+    a11 = S[0, 0] / det
+    a01 = -S[0, 1] / det
+    q = a00 * p_uu + 2 * a01 * p_uv + a11 * p_vv
+    with np.errstate(under="ignore"):
+        total = n + 2.0 * np.exp(-0.5 * q).sum()
+    return total / (2 * np.pi * np.sqrt(det))

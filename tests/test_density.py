@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from evmcontrol.density import (
+    _pairwise_tree_sum,
     anomaly_probability,
     exceedance,
     fit_anomaly_model,
@@ -266,3 +272,52 @@ def test_reference_points_in_density_order():
                                model.reference_densities, rtol=1e-12, atol=0)
     np.testing.assert_array_equal(exceedance(model.reference_densities, dens),
                                   anomaly_probability(model, raw))
+
+
+# ---------------------------------------------------------------------------
+# The blocked Gaussian sums against the whole-array oracles in
+# scalar_reference.py, bit for bit.  Each comparison runs in a subprocess with
+# one BLAS thread: threaded BLAS may round a matrix product differently from
+# one call to the next, which would hide or fake a difference.
+
+TESTS = Path(__file__).resolve().parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _oracle_check(*args):
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, "1")}
+    paths = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, str(TESTS / "density_oracles.py"), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("n_centres, n_queries", [(8000, 10000), (2000, 2000), (1500, 1500)])
+def test_gaussian_eval_matches_oracle_at_pipeline_sizes(n_centres, n_queries):
+    _oracle_check("eval", n_centres, n_queries)
+
+
+def test_gaussian_eval_matches_oracle_for_every_block_tail():
+    _oracle_check("tails")
+
+
+def test_scv_pair_sum_matches_oracle():
+    _oracle_check("phi_sum")
+
+
+def test_pairwise_tree_sum_is_numpy_sum():
+    # Guards the copy of numpy's pairwise summation order: a numpy release
+    # that sums in another order fails here, not as a 1-ulp report change.
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal(10**5 + 3) * 10.0 ** rng.uniform(-8, 8, 10**5 + 3)
+
+    def tree_sum(n, leaf):
+        return _pairwise_tree_sum(n, lambda lo, hi: values[lo:hi].sum(), leaf)
+
+    for n in range(301):
+        want = values[:n].sum()
+        assert tree_sum(n, 128) == want, n
+        assert tree_sum(n, 200) == want, n
+    for leaf in (128, 1000, 2**14):
+        assert tree_sum(len(values), leaf) == values.sum(), leaf

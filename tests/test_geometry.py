@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evmcontrol import geometry
 from evmcontrol.geometry import (
     _chain_segments,
     _interp_crossing,
@@ -9,6 +11,8 @@ from evmcontrol.geometry import (
     marching_squares,
     points_in_hull,
 )
+from evmcontrol.pipeline import DEFAULT_EV_LEVELS
+from evmcontrol.simulate import run_ensemble
 
 
 def test_hull_of_square_with_interior_points():
@@ -159,10 +163,43 @@ def point_clouds(draw):
     return np.asarray(coords, dtype=float) * scale + shift
 
 
+@st.composite
+def gaussian_clouds(draw):
+    """Correlated clouds with duplicates and extra points on hull edges."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(5, 300))
+    rho = draw(st.sampled_from([0.0, 0.9, -0.999, 1.0]))
+    scale = np.array([1.0, draw(st.sampled_from([1.0, 1e-6, 2e3]))])
+    z = rng.standard_normal((n, 2))
+    z[:, 1] = rho * z[:, 0] + np.sqrt(1 - rho**2) * z[:, 1]
+    pts = z * scale + draw(st.floats(-1e4, 1e4, allow_nan=False))
+    hull = _ref_convex_hull(pts)
+    a, b = hull[0], hull[1 % len(hull)]
+    on_edge = a + rng.uniform(0, 1, (draw(st.integers(0, 5)), 1)) * (b - a)
+    dupes = pts[rng.integers(0, n, draw(st.integers(0, 10)))]
+    return rng.permutation(np.concatenate([pts, on_edge, dupes]))
+
+
 @settings(max_examples=300, deadline=None)
 @given(point_clouds())
 def test_convex_hull_matches_reference(points):
     assert _same_array(convex_hull(points), _ref_convex_hull(points))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gaussian_clouds())
+def test_convex_hull_matches_reference_on_gaussian_clouds(points):
+    assert _same_array(convex_hull(points), _ref_convex_hull(points))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_interior_filter_keeps_the_hull_at_every_pivot(case_study, monkeypatch, seed):
+    ds = run_ensemble(case_study, 20000, seed, DEFAULT_EV_LEVELS)
+    clouds = [np.column_stack([p.t, p.c]) for p in map(ds.pivot, range(len(ds.ev_levels)))]
+    filtered = [convex_hull(pts) for pts in clouds]
+    monkeypatch.setattr(geometry, "_drop_interior", lambda pts: pts)
+    for pts, hull in zip(clouds, filtered):
+        assert _same_array(hull, convex_hull(pts))
 
 
 @st.composite

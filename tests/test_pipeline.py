@@ -1,6 +1,6 @@
 import json
-import pickle
 import pickletools
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -218,7 +218,7 @@ def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
 
     cold = analyze()
     (model_path,) = (Path(cfg.out_dir) / "cache").glob("models_*.pkl")
-    model_path.write_bytes(b"not a pickle")
+    entry = model_path.read_bytes()
     fits = []
     fit = pipeline._fit_level_models
 
@@ -227,12 +227,16 @@ def test_corrupt_model_cache_is_repaired(tmp_path, monkeypatch):
         return fit(*args)
 
     monkeypatch.setattr(pipeline, "_fit_level_models", counting_fit)
-    assert analyze() == cold
-    assert len(fits) == 1  # refit ...
-    with open(model_path, "rb") as fh:
-        assert isinstance(pickle.load(fh), pipeline.AnalysisArtifacts)  # ... and rewritten
-    assert analyze() == cold
-    assert len(fits) == 1  # a cache hit
+    for broken in (entry[: len(entry) // 2], b"not a pickle"):  # truncated, foreign
+        model_path.write_bytes(broken)
+        with pytest.warns(UserWarning, match=f"{model_path.name} failed to load"):
+            assert analyze() == cold  # refit ...
+        assert model_path.read_bytes() == entry  # ... and rewritten
+    assert len(fits) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert analyze() == cold
+    assert len(fits) == 2  # a cache hit
 
 
 def test_model_cache_entries_hold_fitted_parameters_only(analysis):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evmcontrol import simulate
 from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.project import Activity, baseline_pv, make_project
 from evmcontrol.rng import fold
@@ -234,3 +235,30 @@ def test_seed_chain_is_stable(seed, n):
     keys2 = [int(fold(seed, i)) for i in range(n)]
     assert keys1 == keys2
     assert len(set(keys1)) == n  # no collisions across run indices
+
+
+def _triad_bytes(ds):
+    return [getattr(ds, name).tobytes() for name in TRIAD_COLUMNS]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 300),
+       st.lists(st.sampled_from([0.1, 0.3, 0.5, 0.9, 1.0]), min_size=1, max_size=3, unique=True))
+def test_triads_do_not_depend_on_chunking(case_study, seed, n_runs, levels):
+    want = None
+    for chunk in (1, 7, 2048, 16384, n_runs + 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulate, "_CHUNK_RUNS", chunk)
+            got = _triad_bytes(run_ensemble(case_study, n_runs, seed, levels))
+        if want is None:
+            want = got
+        assert got == want, chunk
+
+
+def test_triads_do_not_depend_on_chunking_across_chunks(case_study, monkeypatch):
+    # 5000 runs: two full 2048-run chunks and a tail, against one chunk
+    levels = [0.1, 0.5, 0.9]
+    monkeypatch.setattr(simulate, "_CHUNK_RUNS", 16384)
+    whole = _triad_bytes(run_ensemble(case_study, 5000, 3, levels))
+    monkeypatch.setattr(simulate, "_CHUNK_RUNS", 2048)
+    assert _triad_bytes(run_ensemble(case_study, 5000, 3, levels)) == whole
