@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import marching_squares, points_in_hull
+from .quadform import sq_dists, whiten
 
 RIDGE_CONDITION = 1e8
 RIDGE_FACTOR = 1e-6
@@ -67,9 +68,7 @@ def qda_predict(model: QdaModel, X) -> np.ndarray:
     for k in range(2):
         cov = model.covariances[k]
         det = cov[0, 0] * cov[1, 1] - cov[0, 1] ** 2
-        inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[0, 1], cov[0, 0]]]) / det
-        diff = X - model.means[k]
-        quad = ((diff @ inv) * diff).sum(axis=1)
+        quad = sq_dists(*whiten(X, cov), *whiten(model.means[k : k + 1], cov))[:, 0]
         log_post[:, k] = np.log(model.priors[k]) - 0.5 * np.log(det) - 0.5 * quad
     log_post -= log_post.max(axis=1, keepdims=True)
     with np.errstate(under="ignore"):

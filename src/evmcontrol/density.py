@@ -33,6 +33,7 @@ from scipy.optimize import minimize
 
 from . import csvio
 from .errors import ValidationError
+from .quadform import sq_dists, whiten
 from .rng import generator
 
 SCV_MIN_POINTS = 50
@@ -74,14 +75,12 @@ def normal_scale_bandwidth(points) -> np.ndarray:
 
 # SCV pair sums run in leaves of at most _PAIR_LEAF pairs, and kernel sums in
 # row blocks of about _EVAL_BLOCK entries, each in buffers reused from leaf to
-# leaf or block to block: a few MB of working memory at any sample size.  Both
-# do the float operations of one whole-array expression in the same order, so
-# every result is bit for bit that expression's.  Row blocks are a multiple of
-# _GEMM_ROWS rows because OpenBLAS DGEMM rounds an entry by the register tile
-# that holds its row within the call (its SkylakeX kernel tiles rows by 12).
+# leaf or block to block: a few MB of working memory at any sample size.  The
+# pair sums do the float operations of one whole-array expression in the same
+# order, so they are bit for bit that expression's; a kernel sum is row-local
+# (see quadform), so the block size does not change it.
 _PAIR_LEAF = 2**14
 _EVAL_BLOCK = 2**17
-_GEMM_ROWS = 24
 
 
 def _pairwise_tree_sum(n: int, leaf_sum, leaf: int = _PAIR_LEAF) -> float:
@@ -227,34 +226,25 @@ def scv_bandwidth(
 
 
 def _gaussian_eval(centers: np.ndarray, H: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Mean Gaussian kernel density of ``queries`` against ``centers``."""
+    """Mean Gaussian kernel density of ``queries`` against ``centers``.
+
+    Each query's density depends only on that query: any batch or order of
+    queries gives the same bits.
+    """
     det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
-    A = np.array([[H[1, 1], -H[0, 1]], [-H[0, 1], H[0, 0]]]) / det
     norm = 1.0 / (2 * np.pi * np.sqrt(det) * len(centers))
-    ca = centers @ A
-    rc = (ca * centers).sum(axis=1)
+    # whitened by 2H, a squared distance is 0.5 (x - y)^T H^-1 (x - y)
+    c0, c1 = whiten(centers, 2 * H)
+    q0, q1 = whiten(queries, 2 * H)
     n_q = len(queries)
     out = np.empty(n_q)
-    rows = max(1, _EVAL_BLOCK // (_GEMM_ROWS * max(len(centers), 1))) * _GEMM_ROWS
-    bounds = list(range(0, n_q, rows)) + [n_q]
-    if n_q > 1 and bounds[-1] - bounds[-2] == 1:
-        # a one-row block would take BLAS GEMV, whose bits differ from GEMM's
-        del bounds[-2]
-    size = max((hi - lo for lo, hi in zip(bounds, bounds[1:])), default=0)
-    sq = np.empty((size, len(centers)))
-    cross = np.empty_like(sq)
-    for lo, hi in zip(bounds, bounds[1:]):
-        q = queries[lo:hi]
-        qa = q @ A
-        rq = (qa * q).sum(axis=1)
-        s, g = sq[: hi - lo], cross[: hi - lo]
-        # (rq + rc) - 2 * (qa @ centers.T), clipped, then exp(-0.5 * .)
-        np.matmul(qa, centers.T, out=g)
-        np.multiply(g, 2.0, out=g)
-        np.add(rq[:, None], rc[None, :], out=s)
-        np.subtract(s, g, out=s)
-        np.maximum(s, 0.0, out=s)  # clip round-off negatives
-        np.multiply(s, -0.5, out=s)
+    rows = max(1, _EVAL_BLOCK // len(centers))
+    sq = np.empty((min(rows, n_q), len(centers)))
+    tmp = np.empty_like(sq)
+    for lo in range(0, n_q, rows):
+        hi = min(lo + rows, n_q)
+        s = sq_dists(q0[lo:hi], q1[lo:hi], c0, c1, out=sq[: hi - lo], tmp=tmp[: hi - lo])
+        np.negative(s, out=s)
         with np.errstate(under="ignore"):
             np.exp(s, out=s)
         out[lo:hi] = s.sum(axis=1) * norm
@@ -333,10 +323,11 @@ class DensityModel:
         det = H[0, 0] * H[1, 1] - H[0, 1] ** 2
         ot = dt * np.arange(1 - m, m)
         oc = dc * np.arange(1 - k, k)
-        quad = (H[1, 1] * ot[:, None] ** 2 - 2 * H[0, 1] * ot[:, None] * oc[None, :]
-                + H[0, 0] * oc[None, :] ** 2) / det
+        # whitening is linear, so whiten((ot, 0)) - whiten((0, -oc)) = whiten((ot, oc))
+        sq = sq_dists(*whiten(np.column_stack([ot, np.zeros_like(ot)]), 2 * H),
+                      *whiten(np.column_stack([np.zeros_like(oc), -oc]), 2 * H))
         with np.errstate(under="ignore"):
-            kernel = np.exp(-0.5 * quad) / (2 * np.pi * np.sqrt(det) * len(self.points))
+            kernel = np.exp(-sq) / (2 * np.pi * np.sqrt(det) * len(self.points))
         # A circular convolution of length >= 2m - 1 (2k - 1) leaves the m (k)
         # outputs at offset m - 1 (k - 1) free of wrap-around.
         shape = [fft.next_fast_len(n, real=True) for n in kernel.shape]

@@ -42,7 +42,6 @@ class _Tree:
     right: np.ndarray
     vote: np.ndarray       # majority class per node
     counts: np.ndarray     # (nodes, 2) class counts
-    bootstrap: np.ndarray  # training row indices drawn for this tree
 
 
 def _segments(lengths: np.ndarray):
@@ -165,10 +164,10 @@ def _grow_forest(X, y01, boots, rngs, mtry: int, min_node: int) -> list[_Tree]:
                 tree, left_id, start, size, pos, n_left, pos_left))):
             stacks[t].append((t, lid, st, nl, pl))
             stacks[t].append((t, lid + 1, st + nl, sz - nl, ps - pl))
-    return _assemble(n, n_nodes, root_pos, records, thresholds, boots)
+    return _assemble(n, n_nodes, root_pos, records, thresholds)
 
 
-def _assemble(n, n_nodes, root_pos, records, thresholds, boots) -> list[_Tree]:
+def _assemble(n, n_nodes, root_pos, records, thresholds) -> list[_Tree]:
     """Scatter the split records into one node array per field and tree."""
     offset = np.cumsum(n_nodes) - n_nodes
     total = int(n_nodes.sum())
@@ -190,11 +189,11 @@ def _assemble(n, n_nodes, root_pos, records, thresholds, boots) -> list[_Tree]:
         counts[child + 1] = np.column_stack([size - n_left - pos + pos_left, pos - pos_left])
     vote = (counts[:, 1] * 2 > counts.sum(axis=1)).astype(np.int64)
     trees = []
-    for lo, hi, boot in zip(offset.tolist(), (offset + n_nodes).tolist(), boots):
+    for lo, hi in zip(offset.tolist(), (offset + n_nodes).tolist()):
         trees.append(_Tree(
             feature=feature[lo:hi].copy(), threshold=threshold[lo:hi].copy(),
             left=left[lo:hi].copy(), right=right[lo:hi].copy(), vote=vote[lo:hi].copy(),
-            counts=counts[lo:hi].copy(), bootstrap=boot,
+            counts=counts[lo:hi].copy(),
         ))
     return trees
 

@@ -50,8 +50,10 @@ CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # Version of the pickled model layout, part of the model-cache key.  Bump it
 # whenever a cached artifact's meaning changes (2: reference_points are kept
 # in the order of reference_densities; 3: entries hold fitted parameters
-# only, without the level's triads or training-time operators).
-CACHE_SCHEMA = 3
+# only, without the level's triads or training-time operators; 4: row-local
+# kernel sums move reference densities and SVM models in their last bits, and
+# forest trees no longer keep their bootstrap rows).
+CACHE_SCHEMA = 4
 
 
 def _stable_tag(name: str) -> int:

@@ -21,15 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, ValidationError
+from .quadform import sq_dists
 
 KKT_TOL = 1e-3
 
 
 def _rbf(a: np.ndarray, b: np.ndarray, gamma: float) -> np.ndarray:
-    sq = ((a * a).sum(1)[:, None] + (b * b).sum(1)[None, :]) - 2.0 * (a @ b.T)
-    np.maximum(sq, 0.0, out=sq)
+    """exp(-gamma |a_i - b_j|^2); row i depends only on a_i (see quadform)."""
+    sq = sq_dists(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+    np.multiply(sq, -gamma, out=sq)
     with np.errstate(under="ignore"):
-        return np.exp(-gamma * sq)
+        return np.exp(sq, out=sq)
 
 
 @dataclass(frozen=True)
@@ -242,7 +244,7 @@ def svm_decision(model: SvmModel, X) -> np.ndarray:
     if len(model.alphas) == 0:
         return np.full(len(Z), model.bias)
     K = _rbf(Z, model.support_vectors, model.gamma)
-    return K @ (model.alphas * model.sv_labels) + model.bias
+    return (K * (model.alphas * model.sv_labels)).sum(axis=1) + model.bias
 
 
 def svm_predict(model: SvmModel, X) -> np.ndarray:

@@ -1,24 +1,27 @@
-"""Bitwise comparisons of the blocked Gaussian sums against their oracles.
+"""Gaussian-sum oracles and a scoring digest, each run as a subprocess.
 
 Run as ``python tests/density_oracles.py CHECK [ARGS]`` with ``src`` and
-``tests`` on ``PYTHONPATH``; ``test_density.py`` runs each check in a
-subprocess with one BLAS thread, since threaded BLAS may round a matrix
-product differently from one run to the next.  Exits non-zero on the first
-mismatch.
+``tests`` on ``PYTHONPATH``; ``test_density.py`` sets the BLAS thread count
+of each run.  A check exits non-zero on the first mismatch.
 
 Checks:
-  eval N_CENTRES N_QUERIES   densities of N_QUERIES points against N_CENTRES
-  tails                      every last-block length, and a single query
-  phi_sum                    SCV pair sums at several sample sizes
+  eval N_CENTRES N_QUERIES   densities of N_QUERIES points against N_CENTRES,
+                             within 1e-12 relative of the expanded expression
+  phi_sum                    SCV pair sums at several sample sizes, bit for bit
+  digest                     prints a digest of a default-size ``kde_fit``, an
+                             SVM fit and its predictions: no BLAS call is left
+                             in scoring, so it must not depend on BLAS threads
 """
 
 from __future__ import annotations
 
+import hashlib
 import sys
 
 import numpy as np
 
 from evmcontrol import density
+from evmcontrol.svm import svm_fit, svm_predict
 from scalar_reference import gaussian_eval, scv_phi_sum
 
 
@@ -27,33 +30,15 @@ def _cloud(rng, n: int) -> np.ndarray:
     return rng.multivariate_normal([5.0, 1.0e4], [[0.36, 300.0], [300.0, 6.4e5]], size=n)
 
 
-def _assert_same(got: np.ndarray, want: np.ndarray, what: str) -> None:
-    if got.shape != want.shape or got.tobytes() != want.tobytes():
-        bad = int(np.sum(got != want)) if got.shape == want.shape else "shape"
-        raise SystemExit(f"{what}: {bad} value(s) differ from the oracle")
-
-
 def check_eval(n_centres: int, n_queries: int) -> None:
     rng = np.random.default_rng(n_centres * 7919 + n_queries)
     centres, queries = _cloud(rng, n_centres), _cloud(rng, n_queries)
     H = density.normal_scale_bandwidth(centres)
-    _assert_same(density._gaussian_eval(centres, H, queries),
-                 gaussian_eval(centres, H, queries), f"{n_centres}x{n_queries}")
-
-
-def check_tails() -> None:
-    rng = np.random.default_rng(5)
-    for n_centres in (8000, 1500):
-        centres = _cloud(rng, n_centres)
-        H = density.normal_scale_bandwidth(centres)
-        rows = max(1, density._EVAL_BLOCK // (density._GEMM_ROWS * n_centres)) * density._GEMM_ROWS
-        queries = _cloud(rng, 3 * rows + 2)
-        # two full blocks, then every tail from 1 row (folded into a block
-        # of rows + 1) to rows + 1; and a single query
-        for n in [1, *range(2 * rows + 1, 3 * rows + 2)]:
-            q = queries[:n]
-            _assert_same(density._gaussian_eval(centres, H, q), gaussian_eval(centres, H, q),
-                         f"{n_centres} centres, {n} queries")
+    got = density._gaussian_eval(centres, H, queries)
+    want = gaussian_eval(centres, H, queries)
+    worst = float(np.max(np.abs(got - want) / want))
+    if not worst <= 1e-12:
+        raise SystemExit(f"{n_centres}x{n_queries}: relative difference {worst:.3e} > 1e-12")
 
 
 def check_phi_sum() -> None:
@@ -70,7 +55,21 @@ def check_phi_sum() -> None:
                 raise SystemExit(f"phi_sum at n={n}, bandwidth {k}: {got!r} != {want!r}")
 
 
-CHECKS = {"eval": check_eval, "tails": check_tails, "phi_sum": check_phi_sum}
+def check_digest() -> None:
+    rng = np.random.default_rng(2024)
+    fit, refs = _cloud(rng, 8000), _cloud(rng, 8000)  # kde_fit_cap, kde_reference_cap
+    model = density.kde_fit(fit, density.normal_scale_bandwidth(fit), reference_points=refs)
+    X = _cloud(rng, 400)
+    y = X[:, 1] + rng.normal(0.0, 400.0, len(X)) > 1.0e4
+    svm = svm_fit(X, y, C=1.0, gamma=0.5)
+    digest = hashlib.sha256()
+    for arr in (model.reference_densities, model.reference_points, svm.alphas,
+                np.array([svm.bias, svm.platt_a, svm.platt_b]), svm_predict(svm, refs)):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    print(digest.hexdigest())
+
+
+CHECKS = {"eval": check_eval, "phi_sum": check_phi_sum, "digest": check_digest}
 
 if __name__ == "__main__":
     name, *args = sys.argv[1:]

@@ -4,9 +4,12 @@ Scalar, one-run-at-a-time simulation: ``evmcontrol.simulate.run_ensemble``
 must give, run for run, the triads that
 ``extract_triad(simulate_run(spec, fold(seed, i)), level)`` gives here.
 
-Whole-array Gaussian sums: ``density._gaussian_eval`` and
-``density._PairKernelSum`` must give bit for bit what :func:`gaussian_eval`
-and :func:`scv_phi_sum` give, each as one expression over large temporaries.
+Gaussian sums: ``density._PairKernelSum`` must give bit for bit what
+:func:`scv_phi_sum` gives as one expression over large temporaries.
+``density._gaussian_eval`` whitens its points instead of expanding the
+quadratic form, so it must stay within 1e-12 relative of the expanded BLAS
+expression in :func:`gaussian_eval`, and within 1e-13 relative of the
+extended-precision :func:`gaussian_eval_longdouble`.
 """
 
 from __future__ import annotations
@@ -124,6 +127,23 @@ def gaussian_eval(centers: np.ndarray, H: np.ndarray, queries: np.ndarray) -> np
         with np.errstate(under="ignore"):
             out[start : start + chunk] = np.exp(-0.5 * sq).sum(axis=1) * norm
     return out
+
+
+def gaussian_eval_longdouble(centers: np.ndarray, H: np.ndarray, queries: np.ndarray,
+                             chunk: int = 50) -> np.ndarray:
+    """Mean Gaussian kernel density in ``np.longdouble``, ``chunk`` queries at a time."""
+    L = np.longdouble
+    h00, h01, h11 = L(H[0, 0]), L(H[0, 1]), L(H[1, 1])
+    det = h00 * h11 - h01 * h01
+    cen = centers.astype(L)
+    out = np.empty(len(queries), dtype=L)
+    for start in range(0, len(queries), chunk):
+        q = queries[start : start + chunk].astype(L)
+        du = q[:, None, 0] - cen[None, :, 0]
+        dv = q[:, None, 1] - cen[None, :, 1]
+        quad = (h11 * du * du - 2 * h01 * du * dv + h00 * dv * dv) / det
+        out[start : start + chunk] = np.exp(-quad / 2).sum(axis=1)
+    return out / (2 * L(np.pi) * np.sqrt(det) * len(centers))
 
 
 def scv_phi_sum(pts: np.ndarray, S: np.ndarray) -> float:

@@ -108,15 +108,6 @@ def test_impure_leaves_obey_min_node():
         assert np.all(counts[impure].sum(axis=1) >= min_node)
 
 
-def test_bootstrap_indices_recorded():
-    X, y = separable_data(60)
-    model = forest_fit(X, y, ntree=5, mtry=1, min_node=5, seed=8)
-    for tree in model.trees:
-        assert len(tree.bootstrap) == len(y)
-        assert tree.bootstrap.min() >= 0
-        assert tree.bootstrap.max() < len(y)
-
-
 def test_validation_errors():
     X = np.zeros((1, 2))
     with pytest.raises(ValidationError):
@@ -215,7 +206,6 @@ def _ref_grow_tree(X, y01, rows, mtry, min_node, rng):
         right=np.asarray(right, dtype=np.int64),
         vote=np.asarray(vote, dtype=np.int64),
         counts=np.asarray(counts, dtype=np.int64),
-        bootstrap=rows.copy(),
     )
 
 

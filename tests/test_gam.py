@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.gam import (
+    BACKFIT_MAX_CYCLES,
     GamModel,
     _LoessOperator,
     _LoessSmoother,
@@ -258,6 +259,42 @@ def test_backfit_validation():
         backfit_gam(X, np.zeros(5), [spline_spec(2), spline_spec(2)])
     with pytest.raises(ValidationError, match="per predictor"):
         backfit_gam(np.zeros((20, 2)), np.zeros(20), [spline_spec(2)])
+
+
+def _concurved_problem():
+    """96 rows whose two features are nearly equal: concurvity slows
+    backfitting to 113 cycles for spline(4) x spline(4)."""
+    rng = np.random.default_rng(0)
+    t = rng.normal(size=96)
+    c = t + 0.3 * rng.normal(size=96)
+    y = np.sin(t) + c**2 + 0.1 * rng.normal(size=96)
+    return np.column_stack([t, c]), y
+
+
+def test_spline_backfit_at_cycle_cap_ends_at_exact_limit():
+    X, y = _concurved_problem()
+    specs = [spline_spec(4), spline_spec(4)]
+    model = backfit_gam(X, y, specs)
+    assert model.n_cycles == BACKFIT_MAX_CYCLES
+    assert len(model.rss_path) == BACKFIT_MAX_CYCLES + 1  # the limit's RSS comes last
+    assert np.all(np.diff(model.rss_path) <= 1e-9 * model.rss_path[0])
+    # the limit is the joint least-squares fit on [1, B_t, B_c]
+    design = np.column_stack([np.ones(len(y)), *(natural_spline_basis(x, 4)[1] for x in X.T)])
+    joint = design @ np.linalg.lstsq(design, y, rcond=None)[0]
+    np.testing.assert_allclose(model.fitted, joint, rtol=0, atol=1e-9 * y.std())
+    np.testing.assert_allclose(gam_predict(model, X)[0], model.fitted, rtol=0, atol=1e-9 * y.std())
+    with mock.patch("evmcontrol.gam.BACKFIT_MAX_CYCLES", 10**4):
+        uncapped = backfit_gam(X, y, specs)
+    assert uncapped.n_cycles > BACKFIT_MAX_CYCLES
+    assert model.rss <= uncapped.rss
+    np.testing.assert_allclose(model.fitted, uncapped.fitted, rtol=0, atol=2e-5 * y.std())
+
+
+def test_loess_backfit_at_cycle_cap_raises():
+    X, y = _concurved_problem()
+    with mock.patch("evmcontrol.gam.BACKFIT_MAX_CYCLES", 3), \
+            pytest.raises(NumericsError, match="did not converge in 3 cycles"):
+        backfit_gam(X, y, [loess_spec(0.5), spline_spec(4)])
 
 
 def test_gam_predict_interpolates_and_flags():
