@@ -52,8 +52,9 @@ CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # in the order of reference_densities; 3: entries hold fitted parameters
 # only, without the level's triads or training-time operators; 4: row-local
 # kernel sums move reference densities and SVM models in their last bits, and
-# forest trees no longer keep their bootstrap rows).
-CACHE_SCHEMA = 4
+# forest trees no longer keep their bootstrap rows; 5: entries hold the chart's
+# contours and percentile rectangles, and each boundary's polylines only).
+CACHE_SCHEMA = 5
 
 
 def _stable_tag(name: str) -> int:
@@ -273,7 +274,7 @@ class ClassifierArtifact:
     family: str
     model: object | None
     selection: dict
-    boundary: classify.DecisionBoundary | None = None
+    boundary: tuple[np.ndarray, ...] = ()  # polylines of the p = 0.5 boundary
 
 
 def classifier_predict_proba(art: ClassifierArtifact, X) -> np.ndarray:
@@ -293,10 +294,19 @@ class RegressorArtifact:
 
 @dataclass
 class AnalysisArtifacts:
+    """A level's fitted models and its status-independent chart layers.
+
+    ``contours`` maps each of ``CONTOUR_LEVELS`` to the polylines of that
+    anomaly level; ``rectangles`` maps 0.95 and 0.75 to the level rows'
+    percentile rectangles.  A cache hit reads both instead of the triads.
+    """
+
     density_model: density.DensityModel | None
     classifiers: dict
     regressors: dict
     hull: np.ndarray
+    contours: dict
+    rectangles: dict
     degenerate: bool = False
     # populated only for degenerate (zero-spread) clouds
     bbox: tuple[float, float, float, float] | None = None
@@ -411,6 +421,7 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
                       level: float) -> AnalysisArtifacts:
     seed = mix_seed(config.seed, int(round(level * 1e6)))
     t, c = level_rows.t, level_rows.c
+    rectangles = {lvl: density.percentile_rectangle(t, c, lvl) for lvl in (0.95, 0.75)}
     if _cloud_degenerate(t, c):
         # zero-spread cloud (e.g. a deterministic project): membership scoring
         # replaces the density model; outcomes are the observed constants
@@ -427,6 +438,8 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
             classifiers=classifiers,
             regressors={},
             hull=convex_hull(pts),
+            contours={lvl: () for lvl in CONTOUR_LEVELS},
+            rectangles=rectangles,
             degenerate=True,
             bbox=(float(t.min()), float(t.max()), float(c.min()), float(c.max())),
             const_expectations={
@@ -456,7 +469,7 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
         if not art.degenerate:
             art.boundary = classify.decision_boundary(
                 lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, hull
-            )
+            ).polylines
         classifiers[target] = art
 
     regressors = {}
@@ -464,21 +477,23 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
         regressors[target] = _select_regressor(Xs, values[sub], config,
                                                mix_seed(seed, _stable_tag(target)))
 
+    ts, cs, scores = _anomaly_grid(dens, config.density_grid_resolution)
     return AnalysisArtifacts(
         density_model=dens,
         classifiers=classifiers,
         regressors=regressors,
         hull=hull,
+        contours={lvl: tuple(marching_squares(ts, cs, scores, lvl)) for lvl in CONTOUR_LEVELS},
+        rectangles=rectangles,
     )
 
 
-def _anomaly_grid(artifacts: AnalysisArtifacts, resolution: int):
+def _anomaly_grid(model: density.DensityModel, resolution: int):
     """Anomaly scores on the density chart grid (bbox + 3 bandwidth sds).
 
     The grid density is binned (``DensityModel.binned_grid``): it is drawn,
     not reported.  The grid covers every fit point, as binning requires.
     """
-    model = artifacts.density_model
     pts = model.points
     sd_t = np.sqrt(model.H[0, 0])
     sd_c = np.sqrt(model.H[1, 1])
@@ -515,14 +530,17 @@ class AnalysisResult:
 def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
                 data_dir: str | None = None, spec: ProjectSpec | None = None,
                 write: bool = True) -> AnalysisResult:
-    """Full status analysis at the pivot level EV / BAC."""
+    """Full status analysis at the pivot level EV / BAC.
+
+    A model-cache hit scores the status against the stored entry and reads
+    no triads; only a miss loads (or simulates) the level's rows and fits.
+    """
     if spec is None:
         spec = load_project(config.project)
     if not 0 < ev < spec.bac:
         raise ValidationError("analysis needs EV strictly inside (0, BAC)")
     status = evm_status(spec, at, ac, ev)
     level = status.x
-    level_rows = _load_or_simulate_level(config, spec, level, data_dir)
 
     cache_dir = Path(config.out_dir) / "cache"
     cache_dir.mkdir(parents=True, exist_ok=True)
@@ -537,6 +555,7 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
             warnings.warn(f"model cache entry {model_path} failed to load "
                           f"({type(exc).__name__}: {exc}); refitting it")
     if artifacts is None:
+        level_rows = _load_or_simulate_level(config, spec, level, data_dir)
         artifacts = _fit_level_models(config, spec, level_rows, level)
         _write_atomic(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))
 
@@ -600,7 +619,7 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         band_t=band_t,
         band_c=band_c,
     )
-    document = _build_document(config, spec, report, artifacts, level_rows)
+    document = _build_document(config, spec, report, artifacts)
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -629,28 +648,15 @@ def _polylines_json(polylines) -> list:
 
 
 def _build_document(config: RunConfig, spec: ProjectSpec, report: ControlReport,
-                    artifacts: AnalysisArtifacts, level_rows: TriadDataset) -> dict:
+                    artifacts: AnalysisArtifacts) -> dict:
     pv = baseline_pv(spec)
-    if artifacts.degenerate:
-        contours = {f"{lvl:g}": [] for lvl in CONTOUR_LEVELS}
-    else:
-        ts, cs, scores = _anomaly_grid(artifacts, config.density_grid_resolution)
-        contours = {
-            f"{lvl:g}": _polylines_json(marching_squares(ts, cs, scores, lvl))
-            for lvl in CONTOUR_LEVELS
-        }
-    boundaries = {}
-    for target, art in artifacts.classifiers.items():
-        if art.boundary is None:
-            boundaries[target] = []
-        else:
-            boundaries[target] = _polylines_json(art.boundary.polylines)
-    rectangles = {}
-    for lvl in (0.95, 0.75):
-        rect = density.percentile_rectangle(level_rows.t, level_rows.c, lvl)
-        rectangles[f"{lvl:g}"] = {
-            "t_lo": rect.t_lo, "t_hi": rect.t_hi, "c_lo": rect.c_lo, "c_hi": rect.c_hi,
-        }
+    contours = {f"{lvl:g}": _polylines_json(polys) for lvl, polys in artifacts.contours.items()}
+    boundaries = {target: _polylines_json(art.boundary)
+                  for target, art in artifacts.classifiers.items()}
+    rectangles = {
+        f"{lvl:g}": {"t_lo": rect.t_lo, "t_hi": rect.t_hi, "c_lo": rect.c_lo, "c_hi": rect.c_hi}
+        for lvl, rect in artifacts.rectangles.items()
+    }
     return {
         "config": config.to_dict(),
         "report": report.to_dict(),

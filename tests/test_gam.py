@@ -1,5 +1,9 @@
+import os
 import pickle
 import pickletools
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -343,20 +347,41 @@ def test_anova_swapped_order_clamps_when_b_fits_worse():
     assert res.f_stat == 0.0 and res.p_value == 1.0
 
 
+def _fake_model(rss, edf, n=100):
+    """A GamModel with only what ``anova_compare`` reads."""
+    return GamModel(
+        intercept=0.0, specs=(), smooths=(),
+        train_min=np.zeros(2), train_max=np.ones(2),
+        fitted=np.zeros(n), rss_path=(rss,), edf=edf, n_cycles=1,
+    )
+
+
 def test_anova_ordering_error_when_b_improves_with_fewer_df():
-    from evmcontrol.gam import GamModel
-
-    def fake(rss, edf, n=100):
-        return GamModel(
-            intercept=0.0, specs=(), smooths=(),
-            train_min=np.zeros(2), train_max=np.ones(2),
-            fitted=np.zeros(n), rss_path=(rss,), edf=edf, n_cycles=1,
-        )
-
     with pytest.raises(ValidationError, match="degrees of freedom"):
-        anova_compare(fake(10.0, (2.0, 2.0)), fake(5.0, (1.0, 1.0)))
+        anova_compare(_fake_model(10.0, (2.0, 2.0)), _fake_model(5.0, (1.0, 1.0)))
     with pytest.raises(ValidationError, match="same rows"):
-        anova_compare(fake(10.0, (1.0, 1.0)), fake(5.0, (2.0, 2.0), n=50))
+        anova_compare(_fake_model(10.0, (1.0, 1.0)), _fake_model(5.0, (2.0, 2.0), n=50))
+
+
+def test_anova_p_value_is_scipy_stats_f_tail():
+    """The F tail from scipy.special gives scipy.stats.f.sf's bits."""
+    from scipy.stats import f
+
+    for edf_a, edf_b in (((1.0, 1.0), (2.0, 2.0)), ((1.0, 1.0), (4.5, 3.25)),
+                         ((3.0, 2.0), (9.0, 9.0))):
+        small = _fake_model(100.0, edf_a, n=400)
+        for rss_b in np.linspace(10.0, 99.99, 200):
+            res = anova_compare(small, _fake_model(float(rss_b), edf_b, n=400))
+            assert res.p_value == float(f.sf(res.f_stat, res.df_num, res.df_den))
+
+
+def test_package_import_leaves_out_scipy_stats():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, evmcontrol.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_anova_null_calibration():

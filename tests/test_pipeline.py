@@ -1,8 +1,8 @@
 import json
+import pickle
 import pickletools
 import warnings
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -277,6 +277,71 @@ def test_fresh_simulation_report_survives_model_cache_loss(tmp_path):
     assert report.read_bytes() == fresh
 
 
+@pytest.fixture(scope="module")
+def cold_tiny(tmp_path_factory):
+    """A cold analysis from a simulated data dir, and the report it wrote."""
+    cfg = tiny_config(tmp_path_factory.mktemp("cold-tiny"))
+    cmd_simulate(cfg)
+    cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5, data_dir=cfg.out_dir)
+    return cfg, (Path(cfg.out_dir) / "report.json").read_bytes()
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("a cache hit computed a status-independent layer")
+
+
+def test_cache_hit_computes_no_status_independent_layer(cold_tiny, monkeypatch):
+    """A hit reads neither triads nor grids: a new status is scored from the
+    cached entry alone."""
+    cfg, _ = cold_tiny
+    for owner, name in ((pipeline, "read_triads_csv"), (pipeline, "run_ensemble"),
+                        (pipeline, "_load_or_simulate_level"), (pipeline, "_fit_level_models"),
+                        (pipeline, "_anomaly_grid"), (pipeline, "marching_squares"),
+                        (density.DensityModel, "binned_grid"),
+                        (density, "percentile_rectangle")):
+        monkeypatch.setattr(owner, name, _raise)
+    result = cmd_analyze(cfg, at=BASELINE_T50 + 0.2, ac=12700.0, ev=12306.5,
+                         data_dir=cfg.out_dir)
+    doc = json.loads((Path(cfg.out_dir) / "report.json").read_text())
+    assert doc["report"]["p_anomaly"] == result.report.p_anomaly
+    assert list(doc["chart"]["contours"]) == [f"{lvl:g}" for lvl in CONTOUR_LEVELS]
+    assert list(doc["chart"]["rectangles"]) == ["0.95", "0.75"]
+
+
+def test_cache_hit_needs_no_triad_files(cold_tiny):
+    cfg, cold = cold_tiny
+    triads = list(Path(cfg.out_dir).glob("triads_*.csv"))
+    assert triads
+    for path in triads:
+        path.unlink()
+    cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5, data_dir=cfg.out_dir)
+    assert (Path(cfg.out_dir) / "report.json").read_bytes() == cold
+
+
+def test_stored_chart_layers_match_recomputation(analysis):
+    """The entry's contours and rectangles are what the chart grid and the
+    level rows give, bit for bit."""
+    cfg, _ = analysis
+    (entry,) = (Path(cfg.out_dir) / "cache").glob("models_*.pkl")
+    with open(entry, "rb") as fh:
+        artifacts = pickle.load(fh)
+    ts, cs, scores = pipeline._anomaly_grid(artifacts.density_model,
+                                            cfg.density_grid_resolution)
+    assert list(artifacts.contours) == list(CONTOUR_LEVELS)
+    for level in CONTOUR_LEVELS:
+        stored, fresh = artifacts.contours[level], marching_squares(ts, cs, scores, level)
+        assert stored and len(stored) == len(fresh)
+        for a, b in zip(stored, fresh):
+            np.testing.assert_array_equal(a, b)
+    spec = load_project(cfg.project)
+    rows = pipeline._load_or_simulate_level(cfg, spec, 0.5, cfg.out_dir)
+    assert artifacts.rectangles == {
+        lvl: density.percentile_rectangle(rows.t, rows.c, lvl) for lvl in (0.95, 0.75)}
+    for art in artifacts.classifiers.values():
+        assert isinstance(art.boundary, tuple)
+        assert all(isinstance(poly, np.ndarray) for poly in art.boundary)
+
+
 FAMILIES = ("qda", "forest", "svm", "gam_splines", "gam_loess")
 DIRECT_PREDICT = {
     "qda": lambda model, Q: qda_predict(model, Q)[:, 1],
@@ -339,7 +404,7 @@ def test_anomaly_grid_close_to_exact(ensemble_half, fit_cap, reference_cap, scv_
     rows = ensemble_half.rows_at(0.5)
     model = density.fit_anomaly_model(rows.t, rows.c, seed=0, fit_cap=fit_cap,
                                       reference_cap=reference_cap, scv_subsample=scv_subsample)
-    ts, cs, binned = pipeline._anomaly_grid(SimpleNamespace(density_model=model), resolution)
+    ts, cs, binned = pipeline._anomaly_grid(model, resolution)
     exact = density.exceedance(model.reference_densities, model.evaluate_grid(ts, cs))
     assert np.abs(binned - exact).max() <= score_bound
     step = np.array([ts[1] - ts[0], cs[1] - cs[0]])
@@ -354,11 +419,16 @@ def test_anomaly_grid_close_to_exact(ensemble_half, fit_cap, reference_cap, scv_
 def test_classifier_regressor_soft_consistency(analysis):
     """Sign of the expected over-cost agrees with p(OC) >= 0.5 on most of the
     trusted grid."""
-    _, result = analysis
+    cfg, result = analysis
     art = result.artifacts
     clf = art.classifiers["over_budget"]
     reg = art.regressors["final_cost"]
-    tt, cc = np.meshgrid(clf.boundary.t_grid, clf.boundary.c_grid, indexing="ij")
+    # the boundary's grid: the cloud's bounding box (the hull's) padded by 5%
+    lo, hi = art.hull.min(axis=0), art.hull.max(axis=0)
+    pad = (hi - lo) * 0.05 + 1e-9
+    t_grid, c_grid = (np.linspace(lo[k] - pad[k], hi[k] + pad[k], cfg.grid_resolution)
+                      for k in range(2))
+    tt, cc = np.meshgrid(t_grid, c_grid, indexing="ij")
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     inside = points_in_hull(flat, art.hull)
     p = classifier_predict_proba(clf, flat[inside])
@@ -392,6 +462,9 @@ def test_zero_variance_project_analysis(tmp_path, zero_variance_case_study):
     }))
     cfg = small_config(tmp_path, project=str(proj), runs=300)
     res = cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5)
+    cold = (Path(cfg.out_dir) / "report.json").read_bytes()
+    cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5)  # a cache hit
+    assert (Path(cfg.out_dir) / "report.json").read_bytes() == cold
     r = res.report
     assert r.p_anomaly == 0.0  # the only reachable point
     assert r.p_overcost == 0.0 and r.p_delay == 0.0  # single-class targets
