@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import fft
-from scipy.optimize import minimize
 
 from . import csvio
 from .errors import ValidationError
@@ -179,6 +177,81 @@ def _theta_to_h(theta: np.ndarray) -> np.ndarray:
     return np.array([[l00 * l00, l00 * l10], [l00 * l10, l10 * l10 + l11 * l11]])
 
 
+def _nelder_mead(fun, x0: np.ndarray, maxiter: int, xatol: float, fatol: float):
+    """Minimize ``fun`` from ``x0`` by the Nelder-Mead simplex (Nelder & Mead 1965).
+
+    Returns ``(x, fun(x), evaluations)``.  This is scipy 1.17's
+    ``minimize(method="Nelder-Mead")`` without bounds, adaptive parameters
+    or an evaluation cap, and with the same float expressions in the same
+    order, so its iterates, and the bandwidth chosen from them, are scipy's
+    bit for bit.  It stops when the simplex spans at most ``xatol`` in every
+    coordinate and ``fatol`` in value, or after ``maxiter - 1`` iterations.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float)
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+    calls = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal calls
+        calls += 1
+        return fun(x.copy())
+
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    order = np.argsort(fsim)
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            shrink = False
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:  # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:  # towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    return sim[0], np.min(fsim), calls
+
+
 def scv_bandwidth(
     points,
     subsample: int = SCV_SUBSAMPLE_DEFAULT,
@@ -212,14 +285,10 @@ def scv_bandwidth(
     chol = np.linalg.cholesky(h0)
     theta0 = np.array([np.log(chol[0, 0]), chol[1, 0], np.log(chol[1, 1])])
     f0 = criterion(h0)
-    result = minimize(
-        lambda th: criterion(_theta_to_h(th)),
-        theta0,
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "xatol": 1e-3, "fatol": abs(f0) * 1e-7},
-    )
-    h_opt = _theta_to_h(result.x)
-    if not np.isfinite(result.fun) or result.fun >= f0:
+    theta, f_opt, _ = _nelder_mead(lambda th: criterion(_theta_to_h(th)), theta0,
+                                   maxiter=maxiter, xatol=1e-3, fatol=abs(f0) * 1e-7)
+    h_opt = _theta_to_h(theta)
+    if not np.isfinite(f_opt) or f_opt >= f0:
         warnings.warn("SCV optimizer failed to improve; returning the normal-scale bandwidth")
         return h0
     return check_bandwidth(h_opt)
@@ -330,6 +399,8 @@ class DensityModel:
             kernel = np.exp(-sq) / (2 * np.pi * np.sqrt(det) * len(self.points))
         # A circular convolution of length >= 2m - 1 (2k - 1) leaves the m (k)
         # outputs at offset m - 1 (k - 1) free of wrap-around.
+        from scipy import fft  # scipy loads only where a command uses it
+
         shape = [fft.next_fast_len(n, real=True) for n in kernel.shape]
         full = fft.irfft2(fft.rfft2(counts.reshape(m, k), shape) * fft.rfft2(kernel, shape), shape)
         grid = full[m - 1 : 2 * m - 1, k - 1 : 2 * k - 1]

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import fdtrc
 
 from .errors import NumericsError, ValidationError
 
@@ -419,6 +418,8 @@ def anova_compare(model_a: GamModel, model_b: GamModel) -> AnovaResult:
     larger model fails to reduce RSS the statistic is clamped to 0 with
     p = 1 (this also covers comparing a model with itself).
     """
+    from scipy.special import fdtrc  # scipy loads only where a command uses it
+
     if model_a.n_rows != model_b.n_rows:
         raise ValidationError("models must be fit on the same rows")
     n = model_a.n_rows

@@ -29,7 +29,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import csvio
 from .errors import NumericsError, ValidationError
@@ -59,6 +58,8 @@ def _activity_arrays(spec: ProjectSpec):
 
 def _sample_matrix(run_keys: np.ndarray, means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     """Durations for each (run, activity); rejection below EPS_DURATION."""
+    from scipy.special import ndtri  # scipy loads only where a command uses it
+
     n, m = len(run_keys), len(means)
     act_keys = fold(run_keys[:, None], np.arange(m)[None, :])
     d = means + sds * ndtri(unit_uniform(fold(act_keys, 0)))

@@ -1,8 +1,9 @@
-"""Gaussian-sum oracles and a scoring digest, each run as a subprocess.
+"""Gaussian-sum oracles and BLAS-thread digests, each run as a subprocess.
 
 Run as ``python tests/density_oracles.py CHECK [ARGS]`` with ``src`` and
-``tests`` on ``PYTHONPATH``; ``test_density.py`` sets the BLAS thread count
-of each run.  A check exits non-zero on the first mismatch.
+``tests`` on ``PYTHONPATH``, or through ``run_check``, which sets the BLAS
+thread count before numpy loads.  A check exits non-zero on the first
+mismatch.
 
 Checks:
   eval N_CENTRES N_QUERIES   densities of N_QUERIES points against N_CENTRES,
@@ -11,18 +12,39 @@ Checks:
   digest                     prints a digest of a default-size ``kde_fit``, an
                              SVM fit and its predictions: no BLAS call is left
                              in scoring, so it must not depend on BLAS threads
+  gam_digest                 prints a digest of spline GAM fits: the ``pinv``
+                             of each smoother and the joint ``lstsq`` limit,
+                             compared across BLAS thread counts
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from evmcontrol import density
+from evmcontrol.gam import _joint_spline_fit, _SplineSmoother, backfit_gam, spline_spec
 from evmcontrol.svm import svm_fit, svm_predict
 from scalar_reference import gaussian_eval, scv_phi_sum
+
+TESTS = Path(__file__).resolve().parent
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_check(*args, threads=1) -> str:
+    """Run one check in a subprocess with ``threads`` BLAS threads; its stdout."""
+    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))}
+    paths = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    proc = subprocess.run([sys.executable, __file__, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    return proc.stdout
 
 
 def _cloud(rng, n: int) -> np.ndarray:
@@ -69,7 +91,24 @@ def check_digest() -> None:
     print(digest.hexdigest())
 
 
-CHECKS = {"eval": check_eval, "phi_sum": check_phi_sum, "digest": check_digest}
+def check_gam_digest() -> None:
+    rng = np.random.default_rng(77)
+    digest = hashlib.sha256()
+    for n in (96, 120, 150, 960, 1500):  # inner-fold, outer-fold and final-fit sizes
+        X = _cloud(rng, n)
+        y = 0.5 * X[:, 1] + 2.0e3 * np.sin(2.0 * X[:, 0]) + rng.normal(0.0, 200.0, n)
+        for knots in (2, 4, 8):
+            model = backfit_gam(X, y, [spline_spec(knots), spline_spec(knots)])
+            workers = [_SplineSmoother(X[:, j], knots) for j in range(2)]
+            joint = _joint_spline_fit(workers, y, model.intercept)
+            for arr in (model.fitted, np.array(model.rss_path), joint,
+                        *(s.beta for s in model.smooths), *(w.beta for w in workers)):
+                digest.update(np.ascontiguousarray(arr).tobytes())
+    print(digest.hexdigest())
+
+
+CHECKS = {"eval": check_eval, "phi_sum": check_phi_sum, "digest": check_digest,
+          "gam_digest": check_gam_digest}
 
 if __name__ == "__main__":
     name, *args = sys.argv[1:]

@@ -1,3 +1,4 @@
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,10 @@ from scipy.stats import kstest
 
 from evmcontrol.density import (
     _gaussian_eval,
+    _nelder_mead,
     _pairwise_tree_sum,
+    _scv_criterion_factory,
+    _theta_to_h,
     anomaly_probability,
     exceedance,
     fit_anomaly_model,
@@ -22,6 +26,7 @@ from evmcontrol.density import (
     write_density_grid_csv,
 )
 from evmcontrol.errors import ValidationError
+from density_oracles import run_check
 from scalar_reference import gaussian_eval_longdouble
 
 
@@ -232,6 +237,18 @@ def _binned_case(seed=8, n=600):
     return m, ts, cs
 
 
+def test_anomaly_calibration_script_runs(tmp_path):
+    repo = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / "anomaly_calibration.py"),
+         "--runs", "3000", "--scored", "500", "--out", str(tmp_path)],
+        env={**os.environ, "PYTHONPATH": str(repo / "src")},
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "fraction with score > 0.95" in proc.stdout
+    assert (tmp_path / "density_grid.csv").is_file()
+
+
 def test_binned_grid_close_to_exact():
     m, ts, cs = _binned_case()
     exact = m.evaluate_grid(ts, cs)
@@ -297,31 +314,18 @@ def test_gaussian_eval_against_longdouble():
 # under two BLAS thread counts.  Each check runs in a subprocess whose BLAS
 # thread count is set before numpy loads.
 
-TESTS = Path(__file__).resolve().parent
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _oracle_check(*args, threads=1) -> str:
-    env = {**os.environ, **dict.fromkeys(BLAS_THREAD_VARS, str(threads))}
-    paths = [str(TESTS.parent / "src"), str(TESTS), env.get("PYTHONPATH", "")]
-    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run([sys.executable, str(TESTS / "density_oracles.py"), *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=600)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
-
 
 @pytest.mark.parametrize("n_centres, n_queries", [(8000, 10000), (2000, 2000), (1500, 1500)])
 def test_gaussian_eval_matches_oracle_at_pipeline_sizes(n_centres, n_queries):
-    _oracle_check("eval", n_centres, n_queries)
+    run_check("eval", n_centres, n_queries)
 
 
 def test_scv_pair_sum_matches_oracle():
-    _oracle_check("phi_sum")
+    run_check("phi_sum")
 
 
 def test_scoring_bytes_do_not_depend_on_blas_threads():
-    one, two = (_oracle_check("digest", threads=n) for n in (1, 2))
+    one, two = (run_check("digest", threads=n) for n in (1, 2))
     assert one.strip() and one == two
 
 
@@ -340,3 +344,90 @@ def test_pairwise_tree_sum_is_numpy_sum():
         assert tree_sum(n, 200) == want, n
     for leaf in (128, 1000, 2**14):
         assert tree_sum(len(values), leaf) == values.sum(), leaf
+
+
+# ---------------------------------------------------------------------------
+# The in-package Nelder-Mead against scipy's, which it reproduces bit for bit.
+
+NM_MAXITERS = (1, 2, 7, 150)
+
+
+def _assert_nelder_mead_is_scipys(fun, x0, maxiter, xatol, fatol):
+    from scipy.optimize import minimize
+
+    want = minimize(fun, x0, method="Nelder-Mead",
+                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    x, f, evaluations = _nelder_mead(fun, x0, maxiter=maxiter, xatol=xatol, fatol=fatol)
+    assert x.tobytes() == want.x.tobytes()
+    assert np.float64(f).tobytes() == np.float64(want.fun).tobytes()
+    assert evaluations == want.nfev
+
+
+@pytest.mark.parametrize("seed, n, corr", [(0, 60, 0.3), (1, 150, -0.6), (2, 400, 0.0),
+                                           (3, 250, 0.9989), (4, 300, 0.99995)])
+def test_nelder_mead_is_scipys_on_scv(seed, n, corr):
+    """The SCV problem of a seeded cloud, as ``scv_bandwidth`` poses it; the
+    last two are as near-collinear as the clouds at the 20-40% pivots."""
+    rng = np.random.default_rng(seed)
+    sd_t, sd_c = 0.6, 800.0
+    cov = [[sd_t**2, corr * sd_t * sd_c], [corr * sd_t * sd_c, sd_c**2]]
+    pts = rng.multivariate_normal([5.0, 1.0e4], cov, size=n)
+    h0 = normal_scale_bandwidth(pts)
+    criterion = _scv_criterion_factory(pts, h0)
+    chol = np.linalg.cholesky(h0)
+    theta0 = np.array([np.log(chol[0, 0]), chol[1, 0], np.log(chol[1, 1])])
+    fatol = abs(criterion(h0)) * 1e-7
+    for maxiter in NM_MAXITERS:
+        _assert_nelder_mead_is_scipys(lambda th: criterion(_theta_to_h(th)), theta0,
+                                      maxiter, 1e-3, fatol)
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1 - x[:-1]) ** 2))
+
+
+# Synthetic problems that between them run every branch: the Rosenbrock valley
+# converges (expansions, contractions); a wall of inf cuts it off; a staircase's
+# flat steps test each comparison's tie rule and fail inside contractions; a
+# rugged sine fails outside ones.  A zero start coordinate takes the simplex's
+# fixed step.
+NM_SYNTHETIC = {
+    "rosenbrock": (_rosenbrock, [-1.2, 0.0, 1.0]),
+    "inf_wall": (lambda x: np.inf if x[0] + x[1] > 1.5 else _rosenbrock(x), [0.0, 0.5]),
+    "staircase": (lambda x: float(np.floor(np.sum(x * x))), [1.0, 2.0]),
+    "rugged": (lambda x: float(np.sum(np.sin(997.0 * x)) + 0.01 * np.sum(x * x)),
+               [0.5, 0.5, 0.0]),
+}
+
+# Statements of _nelder_mead that only one branch runs.
+NM_BRANCH_STATEMENTS = (
+    "y[k] = (1 + 0.05) * y[k]", "y[k] = 0.00025", "break",
+    "sim[-1], fsim[-1] = xe, fxe", "sim[-1], fsim[-1] = xr, fxr",
+    "sim[-1], fsim[-1] = xc, fxc", "sim[-1], fsim[-1] = xcc, fxcc",
+    "shrink = True", "fsim[j] = f(sim[j])",
+)
+
+
+def test_nelder_mead_is_scipys_on_every_branch():
+    lines, first = inspect.getsourcelines(_nelder_mead)
+    branches = {first + i for i, line in enumerate(lines)
+                if line.strip().split("  #")[0] in NM_BRANCH_STATEMENTS}
+    assert len(branches) == len(NM_BRANCH_STATEMENTS) + 2  # two xr and two shrink lines
+    code = _nelder_mead.__code__
+    ran = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is code and event == "line":
+            ran.add(frame.f_lineno)
+        return trace
+
+    outer = sys.gettrace()
+    for fun, x0 in NM_SYNTHETIC.values():
+        for maxiter in NM_MAXITERS:
+            sys.settrace(trace)
+            try:
+                _nelder_mead(fun, np.array(x0), maxiter=maxiter, xatol=1e-8, fatol=1e-8)
+            finally:
+                sys.settrace(outer)
+            _assert_nelder_mead_is_scipys(fun, np.array(x0), maxiter, 1e-8, 1e-8)
+    assert branches <= ran, sorted(branches - ran)

@@ -24,6 +24,7 @@ from evmcontrol.gam import (
     natural_spline_basis,
     spline_spec,
 )
+from density_oracles import run_check
 
 
 def test_spline_basis_dimension_and_rank():
@@ -376,12 +377,22 @@ def test_anova_p_value_is_scipy_stats_f_tail():
 
 
 def test_package_import_leaves_out_scipy_stats():
+    """Importing the CLI loads no scipy module at all, ``scipy.stats``
+    included: a command imports the scipy it runs where it runs it."""
     src = Path(__file__).resolve().parent.parent / "src"
-    code = "import sys, evmcontrol.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, evmcontrol.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
+
+
+def test_spline_least_squares_do_not_depend_on_blas_threads():
+    """The smoothers' ``pinv`` and the joint ``lstsq`` limit give the same
+    bits at 1 and 2 BLAS threads."""
+    one, two = (run_check("gam_digest", threads=n) for n in (1, 2))
+    assert one.strip() and one == two
 
 
 def test_anova_null_calibration():

@@ -1,6 +1,9 @@
 import json
+import os
 import pickle
 import pickletools
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -27,6 +30,7 @@ from evmcontrol.project import load_project
 from evmcontrol.svm import svm_predict
 
 BASELINE_T50 = 5 + 549.5 / 1002
+REPO = Path(__file__).resolve().parent.parent
 
 
 def small_config(out_dir, **overrides):
@@ -315,6 +319,25 @@ def test_cache_hit_needs_no_triad_files(cold_tiny):
     for path in triads:
         path.unlink()
     cmd_analyze(cfg, at=BASELINE_T50, ac=12306.5, ev=12306.5, data_dir=cfg.out_dir)
+    assert (Path(cfg.out_dir) / "report.json").read_bytes() == cold
+
+
+def test_cache_hit_in_fresh_process_loads_no_scipy(cold_tiny):
+    """A cache-hit ``analyze`` in a new process imports no scipy module and
+    writes the cold report's bytes."""
+    cfg, cold = cold_tiny
+    code = (
+        "import sys\n"
+        "from evmcontrol.pipeline import RunConfig, cmd_analyze\n"
+        "cfg = eval(sys.argv[1], {'RunConfig': RunConfig})\n"
+        f"cmd_analyze(cfg, at={BASELINE_T50!r}, ac=12306.5, ev=12306.5, data_dir=cfg.out_dir)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, repr(cfg)], cwd=REPO, timeout=300,
+                          env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
     assert (Path(cfg.out_dir) / "report.json").read_bytes() == cold
 
 
