@@ -215,12 +215,11 @@ def render_control_chart(document: dict) -> str:
 
 
 def cmd_chart(report_path: str | Path, out_path: str | Path) -> Path:
-    """Render the control chart SVG plus its JSON twin."""
-    document = json.loads(Path(report_path).read_text())
-    svg = render_control_chart(document)
+    """Render the control chart SVG plus its JSON twin, a copy of the report."""
+    raw = Path(report_path).read_bytes()
+    svg = render_control_chart(json.loads(raw))
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg)
-    twin = out.with_suffix(".json")
-    twin.write_text(json.dumps(document, indent=2))
+    out.with_suffix(".json").write_bytes(raw)
     return out

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import marching_squares, points_in_hull
+from .geometry import marching_squares
 from .quadform import sq_dists, whiten
 
 RIDGE_CONDITION = 1e8
@@ -78,23 +78,11 @@ def qda_predict(model: QdaModel, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecisionBoundary:
-    """p = 0.5 level set on a grid, with a convex-hull trust mask.
+    """p = 0.5 level set on a grid, with the training cloud's convex hull:
+    the boundary is trusted only inside it."""
 
-    ``trusted[i, j]`` says grid node (t_grid[i], c_grid[j]) lies inside the
-    convex hull of the training cloud; a cell is trusted when all four of
-    its corners are.
-    """
-
-    t_grid: np.ndarray
-    c_grid: np.ndarray
-    probability: np.ndarray
     polylines: tuple[np.ndarray, ...]
-    trusted: np.ndarray
     hull: np.ndarray
-
-    def cell_trusted(self) -> np.ndarray:
-        t = self.trusted
-        return t[:-1, :-1] & t[1:, :-1] & t[:-1, 1:] & t[1:, 1:]
 
 
 def decision_boundary(
@@ -106,7 +94,7 @@ def decision_boundary(
     """Extract the 0.5 level set of a probability predictor over a grid.
 
     ``hull`` is the training cloud's convex hull, counter-clockwise as
-    :func:`geometry.convex_hull` returns it; grid nodes inside it are trusted.
+    :func:`geometry.convex_hull` returns it.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     c_grid = np.asarray(c_grid, dtype=float)
@@ -114,13 +102,4 @@ def decision_boundary(
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     prob = np.asarray(predict_positive(flat), dtype=float).reshape(tt.shape)
     polylines = marching_squares(t_grid, c_grid, prob, 0.5)
-    hull = np.asarray(hull, dtype=float)
-    trusted = points_in_hull(flat, hull).reshape(tt.shape)
-    return DecisionBoundary(
-        t_grid=t_grid,
-        c_grid=c_grid,
-        probability=prob,
-        polylines=tuple(polylines),
-        trusted=trusted,
-        hull=hull,
-    )
+    return DecisionBoundary(polylines=tuple(polylines), hull=np.asarray(hull, dtype=float))

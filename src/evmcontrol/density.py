@@ -362,14 +362,9 @@ class DensityModel:
         vals = _gaussian_eval(self.points, self.H, q)
         return float(vals[0]) if np.ndim(queries) == 1 else vals
 
-    def evaluate_grid(self, ts, cs) -> np.ndarray:
-        """Density on the product grid; result[i, j] = f(ts[i], cs[j])."""
-        tt, cc = np.meshgrid(np.asarray(ts, float), np.asarray(cs, float), indexing="ij")
-        flat = np.column_stack([tt.ravel(), cc.ravel()])
-        return self.evaluate(flat).reshape(tt.shape)
-
     def binned_grid(self, ts, cs) -> np.ndarray:
-        """Linearly binned approximation of :meth:`evaluate_grid`.
+        """Linearly binned approximation of the density on the product grid;
+        result[i, j] approximates f(ts[i], cs[j]).
 
         The fit points are spread onto the nodes of the evenly spaced grid
         with bilinear weights, and the node counts are convolved (by FFT)

@@ -16,9 +16,7 @@ simplest parameterization to the most flexible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -129,41 +127,11 @@ class SelectionReport:
     def outer_std(self) -> float:
         return float(self.outer_scores.std(ddof=1)) if len(self.outer_scores) > 1 else 0.0
 
-    @property
-    def chosen_params(self) -> tuple[dict, ...]:
-        return tuple(self.grid[i] for i in self.chosen)
-
     def best_params(self) -> dict:
         """Overall pick: the lowest-index grid point among fold winners with
         the most wins (majority vote, ties toward the simplest)."""
         counts = np.bincount(self.chosen, minlength=len(self.grid))
         return dict(self.grid[int(counts.argmax())])
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "grid": list(map(dict, self.grid)),
-            "inner_scores": self.inner_scores.tolist(),
-            "chosen_params": [dict(p) for p in self.chosen_params],
-            "inner_selected_scores": self.inner_selected_scores.tolist(),
-            "outer_scores": self.outer_scores.tolist(),
-            "outer_mean": self.outer_mean,
-            "outer_std": self.outer_std,
-        }
-
-    def write_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2))
-
-    def write_csv(self, path: str | Path) -> None:
-        """Flat per-(fold, grid point) rows: inner error plus the fold's
-        outer error on the line of the winning grid point."""
-        lines = ["outer_fold,params,inner_error,outer_error"]
-        for fold in range(len(self.outer_scores)):
-            for g, params in enumerate(self.grid):
-                outer = self.outer_scores[fold] if g == self.chosen[fold] else ""
-                blob = json.dumps(params, sort_keys=True).replace('"', "'")
-                lines.append(f'{fold},"{blob}",{self.inner_scores[fold, g]:.9g},{outer}')
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 def nested_cv(

@@ -35,7 +35,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import classify, csvio, density, gam
+from . import classify, density, gam
 from .errors import ValidationError
 from .forest import forest_fit, forest_predict
 from .geometry import convex_hull, marching_squares, points_in_hull
@@ -53,8 +53,10 @@ CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # only, without the level's triads or training-time operators; 4: row-local
 # kernel sums move reference densities and SVM models in their last bits, and
 # forest trees no longer keep their bootstrap rows; 5: entries hold the chart's
-# contours and percentile rectangles, and each boundary's polylines only).
-CACHE_SCHEMA = 5
+# contours and percentile rectangles, and each boundary's polylines only; 6:
+# entries hold the variability band, and a zero-spread level's outcomes are
+# GAMs with no smooths).
+CACHE_SCHEMA = 6
 
 
 def _stable_tag(name: str) -> int:
@@ -296,9 +298,12 @@ class RegressorArtifact:
 class AnalysisArtifacts:
     """A level's fitted models and its status-independent chart layers.
 
-    ``contours`` maps each of ``CONTOUR_LEVELS`` to the polylines of that
-    anomaly level; ``rectangles`` maps 0.95 and 0.75 to the level rows'
-    percentile rectangles.  A cache hit reads both instead of the triads.
+    ``density_model`` is None for a zero-spread cloud, whose ``band`` is its
+    bounding box; otherwise ``band`` is the marginal extent of the 95%
+    highest-density region.  ``contours`` maps each of ``CONTOUR_LEVELS`` to
+    the polylines of that anomaly level; ``rectangles`` maps 0.95 and 0.75
+    to the level rows' percentile rectangles.  A cache hit reads all three
+    instead of the triads.
     """
 
     density_model: density.DensityModel | None
@@ -307,10 +312,7 @@ class AnalysisArtifacts:
     hull: np.ndarray
     contours: dict
     rectangles: dict
-    degenerate: bool = False
-    # populated only for degenerate (zero-spread) clouds
-    bbox: tuple[float, float, float, float] | None = None
-    const_expectations: dict | None = None
+    band: tuple[tuple[float, float], tuple[float, float]]
 
 
 def _select_classifier(X, y, config: RunConfig, seed: int) -> ClassifierArtifact:
@@ -339,6 +341,18 @@ def _select_classifier(X, y, config: RunConfig, seed: int) -> ClassifierArtifact
     )
 
 
+def _constant_regressor(X, y) -> RegressorArtifact:
+    """The observed mean as a GAM with no smooths, trained on every row."""
+    mean = float(y.mean())
+    model = gam.GamModel(
+        intercept=mean, specs=(), smooths=(), train_min=X.min(axis=0), train_max=X.max(axis=0),
+        fitted=np.full(len(y), mean), rss_path=(float(((y - mean) ** 2).sum()),), edf=(),
+        n_cycles=0,
+    )
+    return RegressorArtifact(family="constant", model=model,
+                             selection={"note": "degenerate cloud; observed constant reported"})
+
+
 def _select_regressor(X, y, config: RunConfig, seed: int) -> RegressorArtifact:
     reports, best = _select(X, y, REGRESSORS, config, seed)
     chosen = reports[best]
@@ -364,13 +378,15 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
         manifest_path = Path(data_dir) / "manifest.json"
         if manifest_path.exists():
             manifest = json.loads(manifest_path.read_text())
-            if manifest.get("fingerprint") == spec.fingerprint():
-                for key, name in manifest.get("files", {}).items():
-                    if abs(float(key) - level) <= 1e-9:
-                        ds = read_triads_csv(Path(data_dir) / name,
-                                             fingerprint=manifest["fingerprint"],
-                                             seed=manifest["seed"])
-                        return ds
+            if manifest.get("fingerprint") != spec.fingerprint():
+                raise ValidationError(
+                    f"{manifest_path} was simulated for project fingerprint "
+                    f"{manifest.get('fingerprint')}, not this project's {spec.fingerprint()}")
+            for key, name in manifest.get("files", {}).items():
+                if abs(float(key) - level) <= 1e-9:
+                    return read_triads_csv(Path(data_dir) / name,
+                                           fingerprint=manifest["fingerprint"],
+                                           seed=manifest["seed"])
     cache = Path(config.out_dir) / "cache"
     cache.mkdir(parents=True, exist_ok=True)
     key = hashlib.sha256(
@@ -423,35 +439,22 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
     t, c = level_rows.t, level_rows.c
     rectangles = {lvl: density.percentile_rectangle(t, c, lvl) for lvl in (0.95, 0.75)}
     if _cloud_degenerate(t, c):
-        # zero-spread cloud (e.g. a deterministic project): membership scoring
-        # replaces the density model; outcomes are the observed constants
-        pts = np.column_stack([t, c])
-        sub = generator(seed, 0x7A1).permutation(len(t))[: config.train_subsample]
-        classifiers = {}
-        for target in ("over_budget", "late"):
-            y = (level_rows.over_budget if target == "over_budget" else level_rows.late)[sub]
-            classifiers[target] = _select_classifier(
-                pts[sub], y, config, mix_seed(seed, _stable_tag(target))
-            )
-        return AnalysisArtifacts(
-            density_model=None,
-            classifiers=classifiers,
-            regressors={},
-            hull=convex_hull(pts),
-            contours={lvl: () for lvl in CONTOUR_LEVELS},
-            rectangles=rectangles,
-            degenerate=True,
-            bbox=(float(t.min()), float(t.max()), float(c.min()), float(c.max())),
-            const_expectations={
-                "final_cost": float(level_rows.final_c.mean()),
-                "final_duration": float(level_rows.final_t.mean()),
-            },
+        # zero-spread cloud (e.g. a deterministic project): membership of its
+        # box replaces the density model; outcomes are the observed means
+        dens = None
+        band = ((float(t.min()), float(t.max())), (float(c.min()), float(c.max())))
+        contours = {lvl: () for lvl in CONTOUR_LEVELS}
+    else:
+        # fitted before the learners: after them, it raised the peak RSS of a
+        # perfbench warm_check set-up from 76 to 84 MB
+        dens = density.fit_anomaly_model(
+            t, c, seed=seed, bandwidth="scv",
+            fit_cap=config.kde_fit_cap, reference_cap=config.kde_reference_cap,
+            scv_subsample=config.scv_subsample,
         )
-    dens = density.fit_anomaly_model(
-        t, c, seed=seed, bandwidth="scv",
-        fit_cap=config.kde_fit_cap, reference_cap=config.kde_reference_cap,
-        scv_subsample=config.scv_subsample,
-    )
+        band = _variability_band(dens)
+        ts, cs, scores = _anomaly_grid(dens, config.density_grid_resolution)
+        contours = {lvl: tuple(marching_squares(ts, cs, scores, lvl)) for lvl in CONTOUR_LEVELS}
     pts = np.column_stack([t, c])
     sub = generator(seed, 0x7A1).permutation(len(t))[: config.train_subsample]
     sub = np.sort(sub)
@@ -463,9 +466,8 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
     c_grid = np.linspace(c.min() - pad_c, c.max() + pad_c, config.grid_resolution)
 
     classifiers = {}
-    for target in ("over_budget", "late"):
-        y = (level_rows.over_budget if target == "over_budget" else level_rows.late)[sub]
-        art = _select_classifier(Xs, y, config, mix_seed(seed, _stable_tag(target)))
+    for target, labels in (("over_budget", level_rows.over_budget), ("late", level_rows.late)):
+        art = _select_classifier(Xs, labels[sub], config, mix_seed(seed, _stable_tag(target)))
         if not art.degenerate:
             art.boundary = classify.decision_boundary(
                 lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, hull
@@ -474,17 +476,19 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
 
     regressors = {}
     for target, values in (("final_cost", level_rows.final_c), ("final_duration", level_rows.final_t)):
-        regressors[target] = _select_regressor(Xs, values[sub], config,
-                                               mix_seed(seed, _stable_tag(target)))
-
-    ts, cs, scores = _anomaly_grid(dens, config.density_grid_resolution)
+        if dens is None:
+            regressors[target] = _constant_regressor(pts, values)
+        else:
+            regressors[target] = _select_regressor(Xs, values[sub], config,
+                                                   mix_seed(seed, _stable_tag(target)))
     return AnalysisArtifacts(
         density_model=dens,
         classifiers=classifiers,
         regressors=regressors,
         hull=hull,
-        contours={lvl: tuple(marching_squares(ts, cs, scores, lvl)) for lvl in CONTOUR_LEVELS},
+        contours=contours,
         rectangles=rectangles,
+        band=band,
     )
 
 
@@ -502,13 +506,12 @@ def _anomaly_grid(model: density.DensityModel, resolution: int):
     return ts, cs, density.exceedance(model.reference_densities, model.binned_grid(ts, cs))
 
 
-def _variability_band(artifacts: AnalysisArtifacts) -> tuple[tuple[float, float], tuple[float, float]]:
+def _variability_band(model: density.DensityModel) -> tuple[tuple[float, float], tuple[float, float]]:
     """Marginal extent of the 95% highest-density region of the reference sample.
 
     ``reference_points`` is in the order of ``reference_densities``, so the
     sample is scored from its stored densities without a kernel evaluation.
     """
-    model = artifacts.density_model
     refs = model.reference_points
     scores = density.exceedance(model.reference_densities, model.reference_densities)
     keep = scores <= 0.95
@@ -560,8 +563,10 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         _write_atomic(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))
 
     point = np.array([at, ac])
-    if artifacts.degenerate:
-        t_lo, t_hi, c_lo, c_hi = artifacts.bbox
+    band_t, band_c = artifacts.band
+    if artifacts.density_model is None:
+        # zero-spread cloud: a status is normal only inside the cloud's box
+        (t_lo, t_hi), (c_lo, c_hi) = band_t, band_c
         tol_t = 1e-9 * max(1.0, abs(t_hi))
         tol_c = 1e-9 * max(1.0, abs(c_hi))
         inside = (t_lo - tol_t <= at <= t_hi + tol_t) and (c_lo - tol_c <= ac <= c_hi + tol_c)
@@ -575,22 +580,10 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
 
     expectations = {}
     extrapolated = {}
-    if artifacts.degenerate:
-        expectations = dict(artifacts.const_expectations)
-        t_lo, t_hi, c_lo, c_hi = artifacts.bbox
-        outside = not (t_lo <= at <= t_hi and c_lo <= ac <= c_hi)
-        extrapolated = {"final_cost": outside, "final_duration": outside}
-    else:
-        for target, art in artifacts.regressors.items():
-            yhat, flag = gam.gam_predict(art.model, point[None, :])
-            expectations[target] = float(yhat[0])
-            extrapolated[target] = bool(flag[0])
-
-    if artifacts.degenerate:
-        t_lo, t_hi, c_lo, c_hi = artifacts.bbox
-        band_t, band_c = (t_lo, t_hi), (c_lo, c_hi)
-    else:
-        band_t, band_c = _variability_band(artifacts)
+    for target, art in artifacts.regressors.items():
+        yhat, flag = gam.gam_predict(art.model, point[None, :])
+        expectations[target] = float(yhat[0])
+        extrapolated[target] = bool(flag[0])
     in_hull = bool(points_in_hull(point[None, :], artifacts.hull)[0])
 
     report = ControlReport(
@@ -607,12 +600,8 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         expected_delay=expectations["final_duration"] - spec.pd,
         overcost_model=artifacts.classifiers["over_budget"].selection,
         delay_model=artifacts.classifiers["late"].selection,
-        cost_model=(artifacts.regressors["final_cost"].selection
-                    if "final_cost" in artifacts.regressors
-                    else {"note": "degenerate cloud; observed constant reported"}),
-        duration_model=(artifacts.regressors["final_duration"].selection
-                        if "final_duration" in artifacts.regressors
-                        else {"note": "degenerate cloud; observed constant reported"}),
+        cost_model=artifacts.regressors["final_cost"].selection,
+        duration_model=artifacts.regressors["final_duration"].selection,
         status_in_trusted_region=in_hull,
         cost_extrapolated=extrapolated["final_cost"],
         duration_extrapolated=extrapolated["final_duration"],
@@ -625,22 +614,6 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(json.dumps(document, indent=2))
     return AnalysisResult(report=report, document=document, artifacts=artifacts)
-
-
-def write_prediction_grid_csv(artifacts: AnalysisArtifacts, ts, cs, path) -> None:
-    """Export ``t,c,expected_final_cost,expected_final_duration,extrapolated``."""
-    if artifacts.degenerate:
-        raise ValidationError("prediction grid unavailable for a degenerate cloud")
-    ts = np.asarray(ts, float)
-    cs = np.asarray(cs, float)
-    tt, cc = np.meshgrid(ts, cs, indexing="ij")
-    flat = np.column_stack([tt.ravel(), cc.ravel()])
-    cost, flag_cost = gam.gam_predict(artifacts.regressors["final_cost"].model, flat)
-    duration, flag_dur = gam.gam_predict(artifacts.regressors["final_duration"].model, flat)
-    csvio.write_csv(path, "t,c,expected_final_cost,expected_final_duration,extrapolated", [
-        ("%.9g", flat[:, 0]), ("%.9g", flat[:, 1]), ("%.9g", cost), ("%.9g", duration),
-        ("%d", flag_cost | flag_dur),
-    ])
 
 
 def _polylines_json(polylines) -> list:

@@ -102,13 +102,6 @@ class TriadDataset:
     over_budget: np.ndarray
     late: np.ndarray
 
-    def rows_at(self, level: float) -> "TriadDataset":
-        """Subset at one pivot level (row order preserved)."""
-        mask = np.abs(self.ev_level - level) <= 1e-9 * max(1.0, abs(level))
-        if not mask.any():
-            raise ValidationError(f"no rows at ev_level {level}")
-        return self._subset(mask, level)
-
     def pivot(self, index: int) -> "TriadDataset":
         """Rows of pivot ``ev_levels[index]``, taken by stride.
 

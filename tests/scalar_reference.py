@@ -3,6 +3,8 @@
 Scalar, one-run-at-a-time simulation: ``evmcontrol.simulate.run_ensemble``
 must give, run for run, the triads that
 ``extract_triad(simulate_run(spec, fold(seed, i)), level)`` gives here.
+``TriadDataset.pivot`` must give the rows that :func:`rows_at` selects by
+level.  ``DensityModel.binned_grid`` approximates :func:`evaluate_grid`.
 
 Gaussian sums: ``density._PairKernelSum`` must give bit for bit what
 :func:`scv_phi_sum` gives as one expression over large temporaries.
@@ -19,9 +21,10 @@ from typing import Mapping
 
 import numpy as np
 
+from evmcontrol.density import DensityModel
 from evmcontrol.errors import ValidationError
 from evmcontrol.project import ProjectSpec, earliest_start_schedule
-from evmcontrol.simulate import _activity_arrays, _sample_matrix
+from evmcontrol.simulate import TriadDataset, _activity_arrays, _sample_matrix
 
 
 def sample_durations(spec: ProjectSpec, run_seed: int) -> dict[str, float]:
@@ -107,6 +110,21 @@ def extract_triad(trace: RunTrace, ev_level: float) -> Triad:
 
 def project_finish(schedule: Mapping[str, tuple[float, float]]) -> float:
     return max(fin for _, fin in schedule.values())
+
+
+def rows_at(ds: TriadDataset, level: float) -> TriadDataset:
+    """Subset at one pivot level, selected by value (row order preserved)."""
+    mask = np.abs(ds.ev_level - level) <= 1e-9 * max(1.0, abs(level))
+    if not mask.any():
+        raise ValidationError(f"no rows at ev_level {level}")
+    return ds._subset(mask, level)
+
+
+def evaluate_grid(model: DensityModel, ts, cs) -> np.ndarray:
+    """Exact density on the product grid; result[i, j] = f(ts[i], cs[j])."""
+    tt, cc = np.meshgrid(np.asarray(ts, float), np.asarray(cs, float), indexing="ij")
+    flat = np.column_stack([tt.ravel(), cc.ravel()])
+    return model.evaluate(flat).reshape(tt.shape)
 
 
 def gaussian_eval(centers: np.ndarray, H: np.ndarray, queries: np.ndarray) -> np.ndarray:

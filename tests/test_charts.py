@@ -58,6 +58,7 @@ def test_chart_cmd_writes_svg_and_twin(tmp_path):
     assert out.exists()
     twin = json.loads((tmp_path / "chart.json").read_text())
     assert twin == doc  # field-for-field identical values
+    assert (tmp_path / "chart.json").read_bytes() == report_path.read_bytes()
 
 
 def test_split_by_hull_marks_untrusted_runs():

@@ -108,7 +108,6 @@ def test_boundary_constant_predictor():
         convex_hull(rng.uniform(0, 1, (30, 2))),
     )
     assert b.polylines == ()
-    assert np.all(b.probability == 0.8)
 
 
 def test_boundary_logistic_level_set():
@@ -124,19 +123,3 @@ def test_boundary_logistic_level_set():
     pts = np.concatenate([np.asarray(p) for p in b.polylines])
     cell_height = cs[1] - cs[0]
     assert np.all(np.abs(pts[:, 1] - c0) <= cell_height)
-
-
-def test_boundary_trust_mask():
-    rng = np.random.default_rng(2)
-    training = rng.uniform(0.4, 0.6, (60, 2))  # small blob in the middle
-    b = decision_boundary(
-        lambda q: np.full(len(q), 0.3),
-        np.linspace(0, 1, 11),
-        np.linspace(0, 1, 11),
-        convex_hull(training),
-    )
-    assert not b.trusted[0, 0]
-    assert b.trusted[5, 5]
-    cells = b.cell_trusted()
-    assert cells.shape == (10, 10)
-    assert cells.sum() < cells.size

@@ -5,14 +5,12 @@ byte-identical, special floats included.
 """
 
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evmcontrol import csvio, density, gam, pipeline
+from evmcontrol import csvio, density
 from evmcontrol.simulate import TRIAD_CSV_HEADER, TriadDataset, run_ensemble
 
 SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310, 2.2250738585072014e-308,
@@ -39,20 +37,6 @@ def _savetxt_density_grid(model, ts, cs, path) -> None:
     score = density.exceedance(refs, dens) if refs.size else np.full(len(flat), np.nan)
     cols = np.column_stack([flat[:, 0], flat[:, 1], dens, score])
     np.savetxt(path, cols, fmt="%.9g", delimiter=",", header="t,c,density,anomaly_score",
-               comments="")
-
-
-def _savetxt_prediction_grid(artifacts, ts, cs, path) -> None:
-    ts = np.asarray(ts, float)
-    cs = np.asarray(cs, float)
-    tt, cc = np.meshgrid(ts, cs, indexing="ij")
-    flat = np.column_stack([tt.ravel(), cc.ravel()])
-    cost, flag_cost = gam.gam_predict(artifacts.regressors["final_cost"].model, flat)
-    duration, flag_dur = gam.gam_predict(artifacts.regressors["final_duration"].model, flat)
-    cols = np.column_stack([flat[:, 0], flat[:, 1], cost, duration,
-                            (flag_cost | flag_dur).astype(int)])
-    np.savetxt(path, cols, fmt=["%.9g", "%.9g", "%.9g", "%.9g", "%d"], delimiter=",",
-               header="t,c,expected_final_cost,expected_final_duration,extrapolated",
                comments="")
 
 
@@ -138,26 +122,3 @@ def test_density_grid_csv_matches_savetxt(tmp_path_factory, ts, cs):
             _same_bytes(tmp_path,
                         lambda p: density.write_density_grid_csv(model, ts, cs, p),
                         lambda p: _savetxt_density_grid(model, ts, cs, p))
-
-
-@pytest.fixture(scope="module")
-def gam_artifacts():
-    rng = np.random.default_rng(4)
-    X = rng.uniform(0, 10, (80, 2))
-    y = X[:, 0] ** 2 - 3 * X[:, 1] + rng.standard_normal(80)
-    cost = gam.backfit_gam(X, y, [gam.spline_spec(2), gam.spline_spec(2)])
-    duration = gam.backfit_gam(X, -y, [gam.loess_spec(1.0), gam.loess_spec(1.0)])
-    return SimpleNamespace(degenerate=False, regressors={
-        "final_cost": SimpleNamespace(model=cost),
-        "final_duration": SimpleNamespace(model=duration),
-    })
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(FINITE, min_size=1, max_size=5), st.lists(FINITE, min_size=1, max_size=5))
-def test_prediction_grid_csv_matches_savetxt(tmp_path_factory, gam_artifacts, ts, cs):
-    tmp_path = tmp_path_factory.mktemp("prediction")
-    with np.errstate(all="ignore"):
-        _same_bytes(tmp_path,
-                    lambda p: pipeline.write_prediction_grid_csv(gam_artifacts, ts, cs, p),
-                    lambda p: _savetxt_prediction_grid(gam_artifacts, ts, cs, p))

@@ -181,25 +181,6 @@ def test_nested_cv_selection_bias_direction():
     assert np.mean(inner_means) < np.mean(outer_means)
 
 
-def test_selection_report_exports(tmp_path):
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((60, 2))
-    y = X[:, 0] > 0
-    report = nested_cv(X, y, qda_family(), [{}], k_outer=3, k_inner=3, seed=1)
-    jpath = tmp_path / "report.json"
-    cpath = tmp_path / "report.csv"
-    report.write_json(jpath)
-    report.write_csv(cpath)
-    import json
-
-    blob = json.loads(jpath.read_text())
-    assert blob["family"] == "qda"
-    assert len(blob["outer_scores"]) == 3
-    lines = cpath.read_text().splitlines()
-    assert lines[0] == "outer_fold,params,inner_error,outer_error"
-    assert len(lines) == 1 + 3  # one grid point, three outer folds
-
-
 def test_empty_grid_rejected():
     with pytest.raises(ValidationError):
         nested_cv(np.zeros((10, 2)), np.zeros(10, bool), qda_family(), [], seed=0)

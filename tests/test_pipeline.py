@@ -24,10 +24,10 @@ from evmcontrol.pipeline import (
     classifier_predict_proba,
     cmd_analyze,
     cmd_simulate,
-    write_prediction_grid_csv,
 )
 from evmcontrol.project import load_project
 from evmcontrol.svm import svm_predict
+from scalar_reference import evaluate_grid
 
 BASELINE_T50 = 5 + 549.5 / 1002
 REPO = Path(__file__).resolve().parent.parent
@@ -414,7 +414,7 @@ def test_variability_band_matches_rescoring(analysis):
     keep = density.anomaly_probability(model, refs) <= 0.95
     oracle = ((float(refs[keep, 0].min()), float(refs[keep, 0].max())),
               (float(refs[keep, 1].min()), float(refs[keep, 1].max())))
-    assert pipeline._variability_band(result.artifacts) == oracle
+    assert pipeline._variability_band(model) == result.artifacts.band == oracle
     assert (result.report.band_t, result.report.band_c) == oracle
 
 
@@ -424,11 +424,11 @@ def test_variability_band_matches_rescoring(analysis):
 ])
 def test_anomaly_grid_close_to_exact(ensemble_half, fit_cap, reference_cap, scv_subsample,
                                      resolution, score_bound):
-    rows = ensemble_half.rows_at(0.5)
+    rows = ensemble_half  # its only pivot is 0.5
     model = density.fit_anomaly_model(rows.t, rows.c, seed=0, fit_cap=fit_cap,
                                       reference_cap=reference_cap, scv_subsample=scv_subsample)
     ts, cs, binned = pipeline._anomaly_grid(model, resolution)
-    exact = density.exceedance(model.reference_densities, model.evaluate_grid(ts, cs))
+    exact = density.exceedance(model.reference_densities, evaluate_grid(model, ts, cs))
     assert np.abs(binned - exact).max() <= score_bound
     step = np.array([ts[1] - ts[0], cs[1] - cs[0]])
     for level in CONTOUR_LEVELS:
@@ -462,15 +462,6 @@ def test_classifier_regressor_soft_consistency(analysis):
     assert agree[~near_half].mean() >= 0.9
 
 
-def test_prediction_grid_export(analysis, tmp_path):
-    _, result = analysis
-    out = tmp_path / "pred.csv"
-    write_prediction_grid_csv(result.artifacts, np.linspace(4, 7, 4), np.linspace(11000, 14000, 3), out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,c,expected_final_cost,expected_final_duration,extrapolated"
-    assert len(lines) == 1 + 12
-
-
 def test_zero_variance_project_analysis(tmp_path, zero_variance_case_study):
     import json as _json
 
@@ -494,8 +485,19 @@ def test_zero_variance_project_analysis(tmp_path, zero_variance_case_study):
     assert r.expected_final_cost == pytest.approx(24613.0, rel=1e-12)
     assert r.expected_overcost == pytest.approx(0.0, abs=1e-9)
     assert r.band_t[0] == pytest.approx(r.band_t[1], abs=1e-9)  # zero width
+    # the band is the cloud's box, read back from the 9-digit triad CSV
+    assert r.band_t == (5.54840319, 5.54840319) and r.band_c == (12306.5, 12306.5)
+    note = {"note": "degenerate cloud; observed constant reported"}
+    assert r.cost_model == note and r.duration_model == note
+    # BASELINE_T50 lies 3.6e-9 past the rounded box: inside the anomaly test's
+    # relative 1e-9 tolerance, outside the regressors' training range
+    assert r.cost_extrapolated and r.duration_extrapolated
+    chart = res.document["chart"]
+    assert chart["contours"] == {f"{lvl:g}": [] for lvl in CONTOUR_LEVELS}
+    assert chart["boundaries"] == {"over_budget": [], "late": []}
     off = cmd_analyze(cfg, at=BASELINE_T50, ac=20000.0, ev=12306.5, write=False)
     assert off.report.p_anomaly == 1.0
+    assert off.report.cost_extrapolated and off.report.duration_extrapolated
     # chart renders with the EV marker on the PV curve
     svg_path = cmd_chart(Path(cfg.out_dir) / "report.json", tmp_path / "zero.svg")
     svg = svg_path.read_text()
@@ -548,6 +550,31 @@ def test_cli_analyze_zero_variance(tmp_path, zero_variance_case_study):
     assert code == 0
     assert (out / "c.svg").exists()
     assert (out / "c.json").exists()
+
+
+def test_cli_analyze_rejects_data_of_another_project(tmp_path, capsys, zero_variance_case_study):
+    """A manifest simulated for another project stops the analysis: the
+    error names both fingerprints and nothing is simulated in its place."""
+    data = tmp_path / "data"
+    assert main(["simulate", "--project", "case_study.json", "--runs", "50",
+                 "--ev-levels", "0.5", "--out", str(data)]) == 0
+    proj = tmp_path / "zv.json"
+    proj.write_text(json.dumps({
+        "activities": [
+            {"id": a.id, "mean_duration": a.mean_duration, "variance": 0.0,
+             "cost_rate": a.cost_rate}
+            for a in zero_variance_case_study.activities
+        ],
+        "edges": [list(e) for e in zero_variance_case_study.edges],
+    }))
+    out = tmp_path / "out"
+    code = main(["analyze", "--project", str(proj), "--at", "5.5", "--ac", "12258",
+                 "--ev", "12258", "--runs", "50", "--data", str(data), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    fingerprint = json.loads((data / "manifest.json").read_text())["fingerprint"]
+    assert fingerprint in err and zero_variance_case_study.fingerprint() in err
+    assert not list((out / "cache").glob("triads_*.csv"))
 
 
 def test_cli_exit_codes(tmp_path):

@@ -8,7 +8,7 @@ from evmcontrol.errors import NumericsError, ValidationError
 from evmcontrol.project import Activity, baseline_pv, make_project
 from evmcontrol.rng import fold
 from evmcontrol.simulate import TRIAD_COLUMNS, TRIAD_CSV_HEADER, read_triads_csv, run_ensemble
-from scalar_reference import RunTrace, extract_triad, sample_durations, simulate_run
+from scalar_reference import RunTrace, extract_triad, rows_at, sample_durations, simulate_run
 
 ZERO_VAR_T50 = 5 + 549.5 / 1002  # PV-curve crossing of half the budget
 
@@ -216,13 +216,13 @@ def test_csv_reader_names_file_missing_a_column(tmp_path):
 
 def test_rows_at_level(case_study):
     ds = run_ensemble(case_study, 50, seed=3, ev_levels=[0.4, 0.9])
-    at = ds.rows_at(0.4)
+    at = rows_at(ds, 0.4)
     assert at.n_runs == 50
     assert np.all(np.abs(at.ev_level - 0.4) < 1e-12)
     with pytest.raises(ValidationError):
-        ds.rows_at(0.55)
+        rows_at(ds, 0.55)
     for index, level in enumerate(ds.ev_levels):  # the stride path cmd_simulate takes
-        by_stride, by_mask = ds.pivot(index), ds.rows_at(level)
+        by_stride, by_mask = ds.pivot(index), rows_at(ds, level)
         assert (by_stride.n_runs, by_stride.ev_levels) == (by_mask.n_runs, by_mask.ev_levels)
         for name in TRIAD_COLUMNS:
             assert np.array_equal(getattr(by_stride, name), getattr(by_mask, name)), name
