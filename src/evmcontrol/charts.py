@@ -35,30 +35,31 @@ def _esc(text: str) -> str:
 
 
 class _Scale:
-    """Data (x, y) to pixel coordinates, y inverted."""
+    """Data (x, y) to pixel coordinates, y inverted; values may be arrays."""
 
     def __init__(self, x_range, y_range, top: float):
         self.x0, self.x1 = x_range
         self.y0, self.y1 = y_range
         self.top = top
 
-    def x(self, v: float) -> float:
+    def x(self, v):
         span = self.x1 - self.x0 or 1.0
         return MARGIN + (v - self.x0) / span * PANEL_W
 
-    def y(self, v: float) -> float:
+    def y(self, v):
         span = self.y1 - self.y0 or 1.0
         return self.top + PANEL_H - (v - self.y0) / span * PANEL_H
 
-    def point(self, v) -> tuple[float, float]:
-        return self.x(v[0]), self.y(v[1])
 
-
-def _polyline(points, cls: str, extra: str = "") -> str:
+def _polyline(scale: _Scale, points, cls: str) -> str:
+    """A polyline through data ``points`` ((k, 2), as an array or nested
+    lists), mapped through ``scale`` for the whole array at once."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
     if len(points) < 2:
         return ""
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return f'<polyline class="{cls}" points="{coords}" {extra}/>'
+    pixels = zip(scale.x(points[:, 0]).tolist(), scale.y(points[:, 1]).tolist())
+    coords = " ".join(map("%.2f,%.2f".__mod__, pixels))
+    return f'<polyline class="{cls}" points="{coords}" />'
 
 
 def _text(x: float, y: float, s: str, cls: str = "annotation") -> str:
@@ -146,14 +147,14 @@ def render_control_chart(document: dict) -> str:
     cost = _Scale((0.0, t_max), (0.0, c_max), top1)
     parts: list[str] = []
     parts += _panel_axes(cost, "Cost control", "time", "cost")
-    parts.append(_polyline([cost.point(p) for p in pv], "pv-curve"))
+    parts.append(_polyline(cost, pv, "pv-curve"))
     parts.append(_rect(cost.x(band_t[0]), cost.y(band_c[0]),
                        cost.x(band_t[1]), cost.y(band_c[1]), "variability-band"))
     parts.append(_text(cost.x(band_t[1]) + 6, cost.y(band_c[1]), "expected variability"))
     for level, polys in chart.get("contours", {}).items():
         cls = "contour contour-95" if level == "0.95" else "contour"
         for poly in polys:
-            parts.append(_polyline([cost.point(p) for p in poly], cls))
+            parts.append(_polyline(cost, poly, cls))
     for level, rect in chart.get("rectangles", {}).items():
         parts.append(_rect(cost.x(rect["t_lo"]), cost.y(rect["c_lo"]),
                            cost.x(rect["t_hi"]), cost.y(rect["c_hi"]),
@@ -161,7 +162,7 @@ def render_control_chart(document: dict) -> str:
     for poly in chart.get("boundaries", {}).get("over_budget", []):
         for run, trusted in _split_by_hull(np.asarray(poly, dtype=float), hull):
             cls = "decision-boundary" if trusted else "decision-boundary untrusted"
-            parts.append(_polyline([cost.point(p) for p in run], cls))
+            parts.append(_polyline(cost, run, cls))
     parts.append(_circle(cost.x(at), cost.y(ev), 5, "marker-ev"))
     parts.append(_text(cost.x(at) + 8, cost.y(ev) + 4, "EV", "marker-label"))
     parts.append(_circle(cost.x(at), cost.y(ac), 5, "marker-ac"))
@@ -174,7 +175,7 @@ def render_control_chart(document: dict) -> str:
     top2 = MARGIN + PANEL_H + GAP + 30
     time = _Scale((0.0, t_max), (0.0, c_max), top2)
     parts += _panel_axes(time, "Time control", "time", "cost")
-    parts.append(_polyline([time.point(p) for p in pv], "pv-curve"))
+    parts.append(_polyline(time, pv, "pv-curve"))
     parts.append(
         f'<line class="ev-level-line" x1="{time.x(0):.2f}" y1="{time.y(ev):.2f}" '
         f'x2="{time.x(t_max):.2f}" y2="{time.y(ev):.2f}"/>'
@@ -197,7 +198,7 @@ def render_control_chart(document: dict) -> str:
     for poly in chart.get("boundaries", {}).get("late", []):
         for run, trusted in _split_by_hull(np.asarray(poly, dtype=float), hull):
             cls = "decision-boundary" if trusted else "decision-boundary untrusted"
-            parts.append(_polyline([time.point(p) for p in run], cls))
+            parts.append(_polyline(time, run, cls))
     parts.append(_circle(time.x(at), time.y(ev), 5, "marker-ev"))
     parts.append(_text(time.x(at) + 8, time.y(ev) - 6, "EV", "marker-label"))
     ann_x = MARGIN + 12

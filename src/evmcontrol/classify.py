@@ -12,7 +12,8 @@ QDA posterior, computed in log space for numerical safety:
     P(k | x) = pi_k N(x; mu_k, S_k) / sum_l pi_l N(x; mu_l, S_l)
 
 Each class covariance is ridge-stabilized with 1e-6 * trace/2 * I when its
-condition number exceeds 1e8 (degenerate clouds, e.g. a constant feature).
+condition number exceeds 1e8 (degenerate clouds, e.g. a constant feature),
+or with 1e-6 * I when its trace is 0 (both features constant).
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ def qda_fit(X, y) -> QdaModel:
         cov = np.cov(Xk.T, ddof=1)
         hit = np.linalg.cond(cov) > RIDGE_CONDITION
         if hit:
-            cov = cov + RIDGE_FACTOR * (np.trace(cov) / 2.0) * np.eye(2)
+            # a zero-spread class has trace 0: ridge it on the unit scale
+            scale = np.trace(cov) / 2.0 or 1.0
+            cov = cov + RIDGE_FACTOR * scale * np.eye(2)
         covs[k] = cov
         ridged.append(bool(hit))
     return QdaModel(priors=priors, means=means, covariances=covs, ridged=tuple(ridged))

@@ -500,5 +500,5 @@ def write_density_grid_csv(model: DensityModel, ts, cs, path: str | Path) -> Non
     dens = model.evaluate(flat)
     refs = model.reference_densities
     score = exceedance(refs, dens) if refs.size else np.full(len(flat), np.nan)
-    csvio.write_csv(path, "t,c,density,anomaly_score",
+    csvio.write_csv([path], "t,c,density,anomaly_score",
                     [("%.9g", col) for col in (flat[:, 0], flat[:, 1], dens, score)])

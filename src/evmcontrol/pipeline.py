@@ -31,12 +31,12 @@ import secrets
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from . import classify, density, gam
-from .errors import ValidationError
+from .errors import NumericsError, ValidationError
 from .forest import forest_fit, forest_predict
 from .geometry import convex_hull, marching_squares, points_in_hull
 from .model_selection import Family, SelectionReport, nested_cv
@@ -151,9 +151,10 @@ def _level_filename(level: float) -> str:
 def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
     """Run the ensemble and write one triad CSV per pivot level + manifest.
 
-    The old manifest is removed before the first CSV is replaced and the new
-    one is written last, so a run stopped midway leaves no manifest that
-    points at files it did not write.
+    The old manifest is removed first.  All CSVs are written to temp files
+    in one pass and renamed into place once every one is complete, and the
+    new manifest is written last, so a run stopped midway leaves no
+    manifest that points at files it did not write.
     """
     if spec is None:
         spec = load_project(config.project)
@@ -162,11 +163,9 @@ def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
     dataset = run_ensemble(spec, config.runs, config.seed, config.ev_levels)
     manifest_path = out / "manifest.json"
     manifest_path.unlink(missing_ok=True)
-    files = {}
-    for index, level in enumerate(config.ev_levels):
-        name = _level_filename(level)
-        _write_atomic(out / name, dataset.pivot(index).write_csv)
-        files[f"{level:.9g}"] = name
+    _write_atomic([out / _level_filename(level) for level in config.ev_levels],
+                  lambda *tmps: dataset.write_pivot_csvs(tmps))
+    files = {f"{level:.9g}": _level_filename(level) for level in config.ev_levels}
     manifest = {
         "fingerprint": spec.fingerprint(),
         "seed": config.seed,
@@ -177,7 +176,7 @@ def cmd_simulate(config: RunConfig, spec: ProjectSpec | None = None) -> dict:
         "files": files,
         "config": config.to_dict(),
     }
-    _write_atomic(manifest_path, lambda p: p.write_text(json.dumps(manifest, indent=2)))
+    _write_atomic([manifest_path], lambda p: p.write_text(json.dumps(manifest, indent=2)))
     return manifest
 
 
@@ -396,26 +395,30 @@ def _load_or_simulate_level(config: RunConfig, spec: ProjectSpec, level: float,
     if cached.exists():
         return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
     ds = run_ensemble(spec, config.runs, config.seed, [level])
-    _write_atomic(cached, ds.write_csv)
+    _write_atomic([cached], ds.write_csv)
     # analyse what a later refit reads back: the CSV rounds to 9 digits
     return read_triads_csv(cached, fingerprint=spec.fingerprint(), seed=config.seed)
 
 
-def _write_atomic(path: Path, writer: Callable[[Path], None]) -> None:
-    """Write a file through a temp file, then rename it over ``path``.
+def _write_atomic(paths: Sequence[Path], writer: Callable[..., None]) -> None:
+    """Write files through temp files, then rename each over its path.
 
-    Readers see a whole file or none.  Cache entries are written only when
-    missing or failed to load; they are content-addressed and deterministic,
-    so a racing writer renames the same bytes into place.  The writer
-    creates the temp file under a random name, so it gets the permissions
-    the umask gives a new file.
+    ``writer`` gets one temp path per entry of ``paths``, in order.  Nothing
+    is renamed until it has returned, so readers see each file whole, and
+    a writer that fails replaces none of them.  Cache entries are written
+    only when missing or failed to load; they are content-addressed and
+    deterministic, so a racing writer renames the same bytes into place.
+    The writer creates each temp file under a random name, so it gets the
+    permissions the umask gives a new file.
     """
-    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    tmps = [path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp") for path in paths]
     try:
-        writer(tmp)
-        os.replace(tmp, path)
+        writer(*tmps)
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
 
 
 def _models_cache_key(config: RunConfig, spec: ProjectSpec, level: float) -> str:
@@ -560,7 +563,7 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
     if artifacts is None:
         level_rows = _load_or_simulate_level(config, spec, level, data_dir)
         artifacts = _fit_level_models(config, spec, level_rows, level)
-        _write_atomic(model_path, lambda p: p.write_bytes(pickle.dumps(artifacts)))
+        _write_atomic([model_path], lambda p: p.write_bytes(pickle.dumps(artifacts)))
 
     point = np.array([at, ac])
     band_t, band_c = artifacts.band
@@ -612,7 +615,14 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
     if write:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(json.dumps(document, indent=2))
+        try:
+            text = json.dumps(document, indent=2, allow_nan=False)
+        except ValueError as exc:
+            bad = [name for name, value in document["report"].items()
+                   if isinstance(value, float) and not np.isfinite(value)]
+            raise NumericsError(f"the report holds non-finite numbers "
+                                f"({', '.join(bad) or exc}); report.json was not written") from exc
+        (out / "report.json").write_text(text)
     return AnalysisResult(report=report, document=document, artifacts=artifacts)
 
 

@@ -41,6 +41,8 @@ MAX_REJECTIONS = 1000
 TRIAD_CSV_HEADER = "run,ev_level,t,c,final_t,final_c,over_budget,late"
 # the CSV columns, which are also the names of TriadDataset's row fields
 TRIAD_COLUMNS = tuple(TRIAD_CSV_HEADER.split(","))
+# the columns that hold one value per run, shared by all its pivot rows
+_RUN_COLUMNS = ("run", "final_t", "final_c", "over_budget", "late")
 
 _CHUNK_RUNS = 2048
 
@@ -82,6 +84,15 @@ def _sample_matrix(run_keys: np.ndarray, means: np.ndarray, sds: np.ndarray) -> 
     return d
 
 
+def _same_bits(values: np.ndarray, first: np.ndarray) -> bool:
+    """Whether every row of ``values`` equals ``first`` bit for bit (NaN
+    payloads and the sign of zero included)."""
+    if values.dtype.kind == "f":
+        values = np.asarray(values, dtype=np.float64).view(np.int64)
+        first = np.asarray(first, dtype=np.float64).view(np.int64)
+    return bool((values == first).all())
+
+
 @dataclass(frozen=True)
 class TriadDataset:
     """Ensemble triads at fixed EV pivots, labelled against the baseline.
@@ -116,21 +127,45 @@ class TriadDataset:
                        **{name: getattr(self, name)[rows] for name in TRIAD_COLUMNS})
 
     def write_csv(self, path: str | Path) -> None:
-        """Write the rows under ``TRIAD_CSV_HEADER``: ints as ``%d``, floats
-        as ``%.9g``, booleans as ``0``/``1``.  A file's single pivot level is
-        formatted once, not once per row."""
-        levels = self.ev_level.astype(np.float64)
-        bits = levels.view(np.int64)
-        constant = bits.size > 0 and bool((bits == bits[0]).all())
-        csvio.write_csv(path, TRIAD_CSV_HEADER, [
-            ("%d", self.run),
-            ("%.9g", levels[0] if constant else levels),
-            ("%.9g", self.t),
-            ("%.9g", self.c),
-            ("%.9g", self.final_t),
-            ("%.9g", self.final_c),
-            ("%d", self.over_budget),
-            ("%d", self.late),
+        """Write the rows of a single-pivot dataset, as
+        :meth:`write_pivot_csvs` writes one pivot's file."""
+        self.write_pivot_csvs([path])
+
+    def write_pivot_csvs(self, paths: Sequence[str | Path]) -> None:
+        """Write pivot ``ev_levels[i]``'s rows to ``paths[i]``, every file
+        in one pass, under ``TRIAD_CSV_HEADER``: ints as ``%d``, floats as
+        ``%.9g``, booleans as ``0``/``1``.
+
+        The rows must be run-major, as :func:`run_ensemble` returns them:
+        one row per pivot level for each run, in ``ev_levels`` order, with
+        the run's ``run``, ``final_t``, ``final_c``, ``over_budget`` and
+        ``late`` equal bit for bit across its rows.  Those columns are then
+        formatted once for all files and each file's level once.
+        """
+        n_levels = len(self.ev_levels)
+        if len(paths) != n_levels:
+            raise ValidationError(f"{n_levels} pivot level(s) need as many files, not {len(paths)}")
+        if len(self.run) % n_levels:
+            raise ValidationError(f"{len(self.run)} rows do not split into runs of "
+                                  f"{n_levels} pivot level(s)")
+        levels = np.asarray(self.ev_levels, dtype=np.float64)
+        by_run = {name: getattr(self, name).reshape(-1, n_levels) for name in TRIAD_COLUMNS}
+        if not _same_bits(by_run["ev_level"], levels):
+            raise ValidationError("rows are not run-major: a run's pivot levels are not "
+                                  "ev_levels in order")
+        for name in _RUN_COLUMNS:
+            if not _same_bits(by_run[name], by_run[name][:, :1]):
+                raise ValidationError(f"rows are not run-major: {name} differs within a run")
+        run = {name: by_run[name][:, 0] for name in _RUN_COLUMNS}
+        csvio.write_csv(paths, TRIAD_CSV_HEADER, [
+            ("%d", run["run"]),
+            ("%.9g", levels[:, None]),
+            ("%.9g", by_run["t"].T),
+            ("%.9g", by_run["c"].T),
+            ("%.9g", run["final_t"]),
+            ("%.9g", run["final_c"]),
+            ("%d", run["over_budget"]),
+            ("%d", run["late"]),
         ])
 
 

@@ -1,8 +1,10 @@
 import json
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evmcontrol.charts import _split_by_hull, cmd_chart, render_control_chart
+from evmcontrol.charts import _polyline, _Scale, _split_by_hull, cmd_chart, render_control_chart
 from evmcontrol.geometry import convex_hull
 
 
@@ -69,3 +71,27 @@ def test_split_by_hull_marks_untrusted_runs():
     assert flags == [False, True, False]
     total = sum(len(seg) for seg, _ in runs)
     assert total >= len(poly)  # shared break points are duplicated across runs
+
+
+def _polyline_per_point(scale, points, cls):
+    """The per-point chart polyline the array version replaced: each point
+    through the scale's scalar ``x``/``y`` and its own f-string."""
+    pixels = [(scale.x(p[0]), scale.y(p[1])) for p in points]
+    if len(pixels) < 2:
+        return ""
+    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in pixels)
+    return f'<polyline class="{cls}" points="{coords}" />'
+
+
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(FLOATS, FLOATS), max_size=12),
+       st.tuples(FLOATS, FLOATS), st.tuples(FLOATS, FLOATS), st.integers(0, 500))
+def test_polyline_matches_per_point_formatting(points, x_range, y_range, top):
+    """Nested lists (as JSON gives them) and arrays, zero-width ranges too."""
+    scale = _Scale(x_range, y_range, top)
+    expected = _polyline_per_point(scale, points, "contour")
+    assert _polyline(scale, points, "contour") == expected
+    assert _polyline(scale, np.array(points, dtype=float).reshape(-1, 2), "contour") == expected

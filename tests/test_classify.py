@@ -50,6 +50,19 @@ def test_qda_ridge_on_constant_feature():
     assert model.ridged == (True, True)  # c has zero variance
 
 
+def test_qda_ridge_on_zero_spread_classes():
+    """Both features constant: the trace is 0, and the unit ridge leaves a
+    finite posterior equal to the priors at the shared point."""
+    X = np.tile([1.0, 100.0], (10, 1))
+    y = np.arange(10) < 4
+    model = qda_fit(X, y)
+    assert model.ridged == (True, True)
+    assert np.array_equal(model.covariances, np.broadcast_to(1e-6 * np.eye(2), (2, 2, 2)))
+    p = qda_predict(model, np.array([[1.0, 100.0], [2.0, 90.0]]))
+    assert np.isfinite(p).all()
+    assert p[0] == pytest.approx([0.6, 0.4], abs=1e-12)
+
+
 def test_qda_requires_three_per_class():
     X = np.array([[0.0, 0], [1, 1], [2, 2], [3, 3], [4, 4]])
     y = np.array([True, True, False, False, False])

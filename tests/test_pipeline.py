@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-from evmcontrol import density, pipeline
+from evmcontrol import csvio, density, pipeline
 from evmcontrol.charts import cmd_chart
 from evmcontrol.classify import qda_predict
 from evmcontrol.cli import main
+from evmcontrol.errors import NumericsError
 from evmcontrol.forest import forest_predict
 from evmcontrol.gam import gam_predict
 from evmcontrol.geometry import marching_squares, points_in_hull
@@ -26,6 +27,7 @@ from evmcontrol.pipeline import (
     cmd_simulate,
 )
 from evmcontrol.project import load_project
+from evmcontrol.simulate import run_ensemble
 from evmcontrol.svm import svm_predict
 from scalar_reference import evaluate_grid
 
@@ -95,29 +97,59 @@ def test_simulate_single_run(tmp_path):
 
 
 def test_simulate_stopped_midway_leaves_no_manifest(tmp_path, monkeypatch):
-    """A rerun that fails on its third pivot must not leave the previous
-    run's manifest pointing at files it replaced."""
+    """A rerun that fails while writing its third pivot file must not leave
+    the previous run's manifest pointing at files it replaced, nor replace
+    any of them."""
     levels = (0.1, 0.3, 0.5, 0.7)
     cmd_simulate(small_config(tmp_path, runs=50, ev_levels=levels))
     assert (tmp_path / "manifest.json").exists()
-    write_csv = pipeline.TriadDataset.write_csv
-    calls = []
+    before = {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")}
+    opened = []
 
-    def failing_write_csv(self, path):
-        calls.append(path)
-        if len(calls) == 3:
-            Path(path).write_text("run,ev_level\n1,")
-            raise OSError("disk full")
-        write_csv(self, path)
+    class FailingFile:
+        """A file whose third one fails on its second block of rows."""
 
-    monkeypatch.setattr(pipeline.TriadDataset, "write_csv", failing_write_csv)
+        def __init__(self, *args, **kwargs):
+            self.fh, self.writes = open(*args, **kwargs), 0
+            opened.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.writes += 1
+            if self is opened[2] and self.writes == 3:  # header, first block, second
+                self.fh.write(text[:len(text) // 2])
+                raise OSError("disk full")
+            self.fh.write(text)
+
+    monkeypatch.setattr(csvio, "BLOCK_ROWS", 16)
+    monkeypatch.setattr(csvio, "open", FailingFile, raising=False)
     with pytest.raises(OSError, match="disk full"):
         cmd_simulate(small_config(tmp_path, runs=60, seed=6, ev_levels=levels))
+    assert len(opened) == len(levels) and opened[2].writes == 3
     assert not (tmp_path / "manifest.json").exists()
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         pipeline._level_filename(level) for level in levels]
     # the file that failed was not replaced by its partial write
     assert len((tmp_path / pipeline._level_filename(0.5)).read_text().splitlines()) == 51
+    # nor any other: nothing is renamed until every file is written
+    assert {path.name: path.read_bytes() for path in tmp_path.glob("*.csv")} == before
+
+
+def test_simulate_files_are_the_pivot_files(tmp_path, case_study):
+    """The one-pass write gives each pivot the bytes its own file has."""
+    cfg = small_config(tmp_path / "data", runs=300, ev_levels=pipeline.DEFAULT_EV_LEVELS)
+    manifest = cmd_simulate(cfg, case_study)
+    dataset = run_ensemble(case_study, cfg.runs, cfg.seed, cfg.ev_levels)
+    for index, level in enumerate(cfg.ev_levels):
+        alone = tmp_path / "alone.csv"
+        dataset.pivot(index).write_csv(alone)
+        name = manifest["files"][f"{level:.9g}"]
+        assert (tmp_path / "data" / name).read_bytes() == alone.read_bytes()
 
 
 def test_simulate_files_get_the_umask_permissions(tmp_path):
@@ -258,13 +290,15 @@ def test_model_cache_entries_hold_fitted_parameters_only(analysis):
 
 
 def test_cache_write_that_raises_leaves_nothing(tmp_path):
-    def failing_writer(path):
-        path.write_bytes(b"half an entry")
+    def failing_writer(*paths):
+        for path in paths:
+            path.write_bytes(b"half an entry")
         raise OSError("disk full")
 
-    with pytest.raises(OSError, match="disk full"):
-        pipeline._write_atomic(tmp_path / "models_0.pkl", failing_writer)
-    assert list(tmp_path.iterdir()) == []
+    for names in (["models_0.pkl"], ["triads_ev0.1.csv", "triads_ev0.2.csv"]):
+        with pytest.raises(OSError, match="disk full"):
+            pipeline._write_atomic([tmp_path / name for name in names], failing_writer)
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_fresh_simulation_report_survives_model_cache_loss(tmp_path):
@@ -502,6 +536,40 @@ def test_zero_variance_project_analysis(tmp_path, zero_variance_case_study):
     svg_path = cmd_chart(Path(cfg.out_dir) / "report.json", tmp_path / "zero.svg")
     svg = svg_path.read_text()
     assert svg.count("p(Anomaly)") == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+def test_zero_spread_mixed_labels_report_is_valid_json(tmp_path, monkeypatch):
+    """A cloud without spread at the 10% pivot whose runs still end both over
+    and under budget: the QDA ridge keeps p_overcost and p_delay finite, and
+    a non-finite report is refused rather than written."""
+    proj = tmp_path / "two.json"
+    proj.write_text(json.dumps({
+        "activities": [
+            {"id": "A", "mean_duration": 5.0, "variance": 0.0, "cost_rate": 100.0},
+            {"id": "B", "mean_duration": 5.0, "variance": 1.0, "cost_rate": 100.0},
+        ],
+        "edges": [["A", "B"]],
+    }))
+    cfg = small_config(tmp_path, project=str(proj), runs=600)
+    res = cmd_analyze(cfg, at=1.0, ac=100.0, ev=100.0)
+    r = res.report
+    assert r.ev_level == pytest.approx(0.1)
+    assert r.band_t[0] == r.band_t[1] and r.band_c[0] == r.band_c[1]  # no spread
+    assert r.overcost_model["chosen_family"] == "qda"
+    for p in (r.p_overcost, r.p_delay):
+        assert np.isfinite(p) and 0 <= p <= 1
+    report_path = Path(cfg.out_dir) / "report.json"
+    written = report_path.read_bytes()
+    assert json.loads(written, parse_constant=_reject_constant) == res.document
+
+    monkeypatch.setattr(pipeline, "classifier_predict_proba", lambda art, X: np.array([np.nan]))
+    with pytest.raises(NumericsError, match="p_overcost, p_delay"):
+        cmd_analyze(cfg, at=1.0, ac=100.0, ev=100.0)
+    assert report_path.read_bytes() == written
 
 
 def test_analyze_rejects_out_of_range_ev(analysis):
