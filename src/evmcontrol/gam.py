@@ -52,10 +52,6 @@ class SplineBasis:
     hi: float
     interior: np.ndarray  # scaled to (0, 1)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.interior) + 1
-
     def design(self, x) -> np.ndarray:
         u = (np.asarray(x, dtype=float) - self.lo) / (self.hi - self.lo)
         knots = np.concatenate([[0.0], self.interior, [1.0]])

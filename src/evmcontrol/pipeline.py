@@ -55,8 +55,9 @@ CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # forest trees no longer keep their bootstrap rows; 5: entries hold the chart's
 # contours and percentile rectangles, and each boundary's polylines only; 6:
 # entries hold the variability band, and a zero-spread level's outcomes are
-# GAMs with no smooths).
-CACHE_SCHEMA = 6
+# GAMs with no smooths; 7: one TargetModel type per target, with single-class
+# classifier targets held as "constant" GAMs).
+CACHE_SCHEMA = 7
 
 
 def _stable_tag(name: str) -> int:
@@ -190,12 +191,12 @@ class Learner:
 
     ``fit(X, y, params, ntree, seed)`` returns a model; ``predict(model, X)``
     returns P(positive) for a classifier and the expected value for a
-    regressor.  Entries look learners up by their module-level names when
-    they run, so that rebinding those names (as a tracer does) reaches
-    every fit.
+    regressor or a constant.  Entries look learners up by their module-level
+    names when they run, so that rebinding those names (as a tracer does)
+    reaches every fit.
     """
 
-    kind: str  # "classifier" | "regressor"
+    kind: str  # "classifier" | "regressor" | "constant"
     grid: Callable[[RunConfig], tuple]
     fit: Callable
     predict: Callable
@@ -211,8 +212,19 @@ def _gam_learner(smoother: Callable[[float], gam.SmootherSpec],
     )
 
 
+def _observed_mean(X, y) -> gam.GamModel:
+    """The mean of ``y`` as a GAM with no smooths, trained on the rows of ``X``."""
+    mean = float(y.mean())
+    return gam.GamModel(
+        intercept=mean, specs=(), smooths=(), train_min=X.min(axis=0), train_max=X.max(axis=0),
+        fitted=np.full(len(y), mean), rss_path=(float(((y - mean) ** 2).sum()),), edf=(),
+        n_cycles=0,
+    )
+
+
 # The one place a family is defined.  Order is the tie-break order between
-# families with equal outer error.
+# families with equal outer error.  "constant" is never cross-validated: it
+# answers a single-class classifier target and a zero-spread cloud's outcomes.
 LEARNERS: dict[str, Learner] = {
     "qda": Learner(
         kind="classifier", grid=lambda config: ({},),
@@ -232,6 +244,11 @@ LEARNERS: dict[str, Learner] = {
     ),
     "gam_splines": _gam_learner(gam.spline_spec, lambda config: config.knot_grid),
     "gam_loess": _gam_learner(gam.loess_spec, lambda config: config.span_grid),
+    "constant": Learner(
+        kind="constant", grid=lambda config: ({},),
+        fit=lambda X, y, p, ntree, seed: _observed_mean(X, y),
+        predict=lambda m, X: gam.gam_predict(m, X)[0],
+    ),
 }
 CLASSIFIERS = tuple(name for name, learner in LEARNERS.items() if learner.kind == "classifier")
 REGRESSORS = tuple(name for name, learner in LEARNERS.items() if learner.kind == "regressor")
@@ -262,35 +279,50 @@ def _select(X, y, names, config: RunConfig, seed: int) -> tuple[list[SelectionRe
     return reports, min(range(len(reports)), key=lambda i: (reports[i].outer_mean, i))
 
 
-def _fit_final(report: SelectionReport, X, y, config: RunConfig, seed: int):
-    """Refit a family's majority-vote params on all rows."""
-    return LEARNERS[report.family].fit(X, y, report.best_params(),
-                                       config.final_forest_ntree, mix_seed(seed, 0xF1))
-
-
 @dataclass
-class ClassifierArtifact:
-    degenerate: bool
-    fixed_probability: float | None
+class TargetModel:
+    """One target's fitted model, the family it came from and how it was chosen."""
+
     family: str
-    model: object | None
+    model: object
     selection: dict
-    boundary: tuple[np.ndarray, ...] = ()  # polylines of the p = 0.5 boundary
+    boundary: tuple[np.ndarray, ...] = ()  # a classifier's p = 0.5 polylines
 
 
-def classifier_predict_proba(art: ClassifierArtifact, X) -> np.ndarray:
-    """Positive-class probability from whichever family was selected."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if art.degenerate:
-        return np.full(len(X), art.fixed_probability)
+def target_predict(art: TargetModel, X) -> np.ndarray:
+    """P(positive) of a classifier target, the expected value of a regressor."""
     return LEARNERS[art.family].predict(art.model, X)
 
 
-@dataclass
-class RegressorArtifact:
-    family: str
-    model: gam.GamModel
-    selection: dict
+def _select_target(X, y, kind: str, config: RunConfig, seed: int) -> TargetModel:
+    """Choose a family of ``kind`` by nested CV and refit it on all rows.
+
+    A classifier target with one class, and ``kind="constant"`` (the
+    outcomes of a zero-spread cloud), take the observed mean instead.
+    """
+    single_class = kind == "classifier" and (y.all() or not y.any())
+    if single_class or kind == "constant":
+        note = ({"note": "single-class target; probability fixed", "fixed": float(y.mean())}
+                if single_class else {"note": "degenerate cloud; observed constant reported"})
+        return TargetModel("constant", LEARNERS["constant"].fit(X, y, {}, 0, seed), note)
+    reports, best = _select(X, y, CLASSIFIERS if kind == "classifier" else REGRESSORS,
+                            config, seed)
+    chosen = reports[best]
+    model = LEARNERS[chosen.family].fit(X, y, chosen.best_params(), config.final_forest_ntree,
+                                        mix_seed(seed, 0xF1))
+    error = "outer_error" if kind == "classifier" else "outer_mse"
+    selection = {
+        "chosen_family": chosen.family,
+        "chosen_params": dict(chosen.best_params()),
+        error: chosen.outer_mean,
+        f"{error}_std": chosen.outer_std,
+        "per_family": {r.family: r.outer_mean for r in reports},
+    }
+    if kind == "classifier":
+        selection["class_balance"] = float(y.mean())
+    if chosen.family == "qda":
+        selection["class_priors"] = model.priors.tolist()
+    return TargetModel(chosen.family, model, selection)
 
 
 @dataclass
@@ -312,59 +344,6 @@ class AnalysisArtifacts:
     contours: dict
     rectangles: dict
     band: tuple[tuple[float, float], tuple[float, float]]
-
-
-def _select_classifier(X, y, config: RunConfig, seed: int) -> ClassifierArtifact:
-    if y.all() or not y.any():
-        fixed = 1.0 if y.all() else 0.0
-        return ClassifierArtifact(
-            degenerate=True, fixed_probability=fixed, family="degenerate", model=None,
-            selection={"note": "single-class target; probability fixed", "fixed": fixed},
-        )
-    reports, best = _select(X, y, CLASSIFIERS, config, seed)
-    chosen = reports[best]
-    model = _fit_final(chosen, X, y, config, seed)
-    selection = {
-        "chosen_family": chosen.family,
-        "chosen_params": dict(chosen.best_params()),
-        "outer_error": chosen.outer_mean,
-        "outer_error_std": chosen.outer_std,
-        "per_family": {r.family: r.outer_mean for r in reports},
-        "class_balance": float(np.asarray(y).mean()),
-    }
-    if chosen.family == "qda":
-        selection["class_priors"] = model.priors.tolist()
-    return ClassifierArtifact(
-        degenerate=False, fixed_probability=None, family=chosen.family, model=model,
-        selection=selection,
-    )
-
-
-def _constant_regressor(X, y) -> RegressorArtifact:
-    """The observed mean as a GAM with no smooths, trained on every row."""
-    mean = float(y.mean())
-    model = gam.GamModel(
-        intercept=mean, specs=(), smooths=(), train_min=X.min(axis=0), train_max=X.max(axis=0),
-        fitted=np.full(len(y), mean), rss_path=(float(((y - mean) ** 2).sum()),), edf=(),
-        n_cycles=0,
-    )
-    return RegressorArtifact(family="constant", model=model,
-                             selection={"note": "degenerate cloud; observed constant reported"})
-
-
-def _select_regressor(X, y, config: RunConfig, seed: int) -> RegressorArtifact:
-    reports, best = _select(X, y, REGRESSORS, config, seed)
-    chosen = reports[best]
-    return RegressorArtifact(
-        family=chosen.family, model=_fit_final(chosen, X, y, config, seed),
-        selection={
-            "chosen_family": chosen.family,
-            "chosen_params": dict(chosen.best_params()),
-            "outer_mse": chosen.outer_mean,
-            "outer_mse_std": chosen.outer_std,
-            "per_family": {r.family: r.outer_mean for r in reports},
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -470,20 +449,21 @@ def _fit_level_models(config: RunConfig, spec: ProjectSpec, level_rows: TriadDat
 
     classifiers = {}
     for target, labels in (("over_budget", level_rows.over_budget), ("late", level_rows.late)):
-        art = _select_classifier(Xs, labels[sub], config, mix_seed(seed, _stable_tag(target)))
-        if not art.degenerate:
-            art.boundary = classify.decision_boundary(
-                lambda Q, a=art: classifier_predict_proba(a, Q), t_grid, c_grid, hull
-            ).polylines
+        art = _select_target(Xs, labels[sub], "classifier", config,
+                             mix_seed(seed, _stable_tag(target)))
+        # a constant probability has no 0.5 level set: its boundary is empty
+        art.boundary = classify.decision_boundary(
+            lambda Q, a=art: target_predict(a, Q), t_grid, c_grid, hull
+        ).polylines
         classifiers[target] = art
 
-    regressors = {}
-    for target, values in (("final_cost", level_rows.final_c), ("final_duration", level_rows.final_t)):
-        if dens is None:
-            regressors[target] = _constant_regressor(pts, values)
-        else:
-            regressors[target] = _select_regressor(Xs, values[sub], config,
-                                                   mix_seed(seed, _stable_tag(target)))
+    # a zero-spread cloud's outcomes are their means over every row
+    X, rows, kind = (pts, slice(None), "constant") if dens is None else (Xs, sub, "regressor")
+    regressors = {
+        target: _select_target(X, values[rows], kind, config, mix_seed(seed, _stable_tag(target)))
+        for target, values in (("final_cost", level_rows.final_c),
+                               ("final_duration", level_rows.final_t))
+    }
     return AnalysisArtifacts(
         density_model=dens,
         classifiers=classifiers,
@@ -579,7 +559,7 @@ def cmd_analyze(config: RunConfig, at: float, ac: float, ev: float,
 
     probs = {}
     for target, art in artifacts.classifiers.items():
-        probs[target] = float(classifier_predict_proba(art, point[None, :])[0])
+        probs[target] = float(target_predict(art, point[None, :])[0])
 
     expectations = {}
     extrapolated = {}

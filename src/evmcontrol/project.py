@@ -33,10 +33,6 @@ class Activity:
     def budget(self) -> float:
         return self.mean_duration * self.cost_rate
 
-    @property
-    def std(self) -> float:
-        return float(np.sqrt(self.variance))
-
 
 @dataclass(frozen=True)
 class ProjectSpec:
@@ -50,12 +46,6 @@ class ProjectSpec:
     edges: tuple[tuple[str, str], ...]
     bac: float = field(default=0.0, compare=False)
     pd: float = field(default=0.0, compare=False)
-
-    def activity(self, act_id: str) -> Activity:
-        for a in self.activities:
-            if a.id == act_id:
-                return a
-        raise KeyError(act_id)
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -223,14 +213,6 @@ class PVCurve:
             raise ValidationError("PV values must start at 0 and never decrease")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "values", v)
-
-    @property
-    def bac(self) -> float:
-        return float(self.values[-1])
-
-    @property
-    def pd(self) -> float:
-        return float(self.times[-1])
 
     def value(self, t) -> np.ndarray | float:
         """PV(t); clamped to 0 before the start and BAC after the finish."""

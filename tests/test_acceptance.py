@@ -24,10 +24,10 @@ from evmcontrol.geometry import convex_hull, points_in_hull
 from evmcontrol.model_selection import Family, cross_validate, kfold_split, nested_cv
 from evmcontrol.pipeline import (
     RunConfig,
-    _select_classifier,
-    classifier_predict_proba,
+    _select_target,
     cmd_analyze,
     cmd_simulate,
+    target_predict,
 )
 from evmcontrol.project import baseline_pv, case_study_project
 from evmcontrol.rng import generator
@@ -248,8 +248,8 @@ def test_criterion_06_no_time_decision_boundary(late_reference):
     """
     ref = late_reference
     config = RunConfig(project="case_study.json")
-    art = _select_classifier(ref.train_X, ref.train_y, config, seed=906)
-    ok, detail = _time_boundary_checks(lambda Q: classifier_predict_proba(art, Q), ref)
+    art = _select_target(ref.train_X, ref.train_y, "classifier", config, seed=906)
+    ok, detail = _time_boundary_checks(lambda Q: target_predict(art, Q), ref)
     assert _verdict(
         6, "delay classifier's 0.5 boundary lies where the simulation puts it", ok,
         f"family={art.family} {detail}",

@@ -13,18 +13,18 @@ from scipy.spatial.distance import cdist
 
 from evmcontrol import csvio, density, pipeline
 from evmcontrol.charts import cmd_chart
-from evmcontrol.classify import qda_predict
+from evmcontrol.classify import decision_boundary, qda_predict
 from evmcontrol.cli import main
 from evmcontrol.errors import NumericsError
 from evmcontrol.forest import forest_predict
 from evmcontrol.gam import gam_predict
-from evmcontrol.geometry import marching_squares, points_in_hull
+from evmcontrol.geometry import convex_hull, marching_squares, points_in_hull
 from evmcontrol.pipeline import (
     CONTOUR_LEVELS,
     RunConfig,
-    classifier_predict_proba,
     cmd_analyze,
     cmd_simulate,
+    target_predict,
 )
 from evmcontrol.project import load_project
 from evmcontrol.simulate import run_ensemble
@@ -410,13 +410,16 @@ DIRECT_PREDICT = {
 
 
 def test_learner_table_order():
-    assert tuple(pipeline.LEARNERS) == FAMILIES  # the tie-break order
+    assert tuple(pipeline.LEARNERS) == FAMILIES + ("constant",)
+    # the tie-break order; "constant" is never cross-validated
+    assert pipeline.CLASSIFIERS + pipeline.REGRESSORS == FAMILIES
 
 
-@pytest.mark.parametrize("name", FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES + ("constant",))
 def test_learner_table_matches_direct_calls(name, tmp_path):
     """Every family's table entry predicts what its learner predicts, both
-    for a report (P(positive) or expected value) and inside nested CV."""
+    for a report (P(positive) or expected value) and inside nested CV; the
+    constant entry predicts the training mean everywhere."""
     rng = np.random.default_rng(8)
     X = rng.standard_normal((120, 2))
     y = X[:, 0] + 0.5 * X[:, 1] ** 2 + 0.3 * rng.standard_normal(120)
@@ -426,18 +429,39 @@ def test_learner_table_matches_direct_calls(name, tmp_path):
         y = y > np.median(y)
     params = learner.grid(small_config(tmp_path))[0]
     model = learner.fit(X, y, params, 15, 3)
+    if learner.kind == "constant":
+        np.testing.assert_array_equal(learner.predict(model, Q), np.full(len(Q), y.mean()))
+        return
     direct = DIRECT_PREDICT[name](model, Q)
     cv_predict = pipeline._family(name, 15, 3).fit(X, y, params)(Q)
     if learner.kind == "classifier":
-        art = pipeline.ClassifierArtifact(degenerate=False, fixed_probability=None,
-                                          family=name, model=model, selection={})
-        np.testing.assert_array_equal(classifier_predict_proba(art, Q), direct)
+        art = pipeline.TargetModel(family=name, model=model, selection={})
+        np.testing.assert_array_equal(target_predict(art, Q), direct)
         np.testing.assert_array_equal(cv_predict, direct > 0.5)
     else:
         smoother = "spline" if name == "gam_splines" else "loess"
         assert [spec.kind for spec in model.specs] == [smoother, smoother]
         np.testing.assert_array_equal(learner.predict(model, Q), direct)
         np.testing.assert_array_equal(cv_predict, direct)
+
+
+@pytest.mark.parametrize("label", [True, False])
+def test_single_class_target_is_constant(label, tmp_path):
+    """A classifier target with one class skips nested CV: its probability is
+    that class's, everywhere, and it has no 0.5 boundary."""
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((60, 2))
+    art = pipeline._select_target(X, np.full(60, label), "classifier",
+                                  small_config(tmp_path), seed=1)
+    fixed = float(label)
+    assert art.family == "constant"
+    assert art.selection == {"note": "single-class target; probability fixed", "fixed": fixed}
+    assert art.boundary == ()
+    Q = 3.0 * rng.standard_normal((40, 2))
+    np.testing.assert_array_equal(target_predict(art, Q), np.full(len(Q), fixed))
+    grid = np.linspace(-4.0, 4.0, 15)
+    boundary = decision_boundary(lambda P: target_predict(art, P), grid, grid, convex_hull(X))
+    assert boundary.polylines == ()
 
 
 def test_variability_band_matches_rescoring(analysis):
@@ -488,7 +512,7 @@ def test_classifier_regressor_soft_consistency(analysis):
     tt, cc = np.meshgrid(t_grid, c_grid, indexing="ij")
     flat = np.column_stack([tt.ravel(), cc.ravel()])
     inside = points_in_hull(flat, art.hull)
-    p = classifier_predict_proba(clf, flat[inside])
+    p = target_predict(clf, flat[inside])
     expected, _ = gam_predict(reg.model, flat[inside])
     bac = result.report.bac
     agree = ((p >= 0.5) == (expected >= bac))
@@ -566,7 +590,7 @@ def test_zero_spread_mixed_labels_report_is_valid_json(tmp_path, monkeypatch):
     written = report_path.read_bytes()
     assert json.loads(written, parse_constant=_reject_constant) == res.document
 
-    monkeypatch.setattr(pipeline, "classifier_predict_proba", lambda art, X: np.array([np.nan]))
+    monkeypatch.setattr(pipeline, "target_predict", lambda art, X: np.array([np.nan]))
     with pytest.raises(NumericsError, match="p_overcost, p_delay"):
         cmd_analyze(cfg, at=1.0, ac=100.0, ev=100.0)
     assert report_path.read_bytes() == written
