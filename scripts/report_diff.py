@@ -3,8 +3,9 @@
 
 List indices are folded into ``[*]``, so one line stands for all elements
 of an array: how many numbers differ there, out of how many, and the largest
-absolute difference.  Arrays of different lengths, keys present on one side
-only and changes of type are printed as such, without descending further.
+absolute difference.  Arrays of different lengths (with both lengths, A's
+first), keys present on one side only and changes of type are printed as
+such, without descending further.
 
 Usage: python scripts/report_diff.py A.json B.json
 Exit status: 0 if the files hold the same JSON, 1 if they differ.
@@ -42,7 +43,7 @@ def diff(a, b, path: str, out: dict) -> None:
                 diff(a[key], b[key], _key(path, key), out)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
-            entry["notes"].add("lengths differ")
+            entry["notes"].add(f"lengths differ ({len(a)} vs {len(b)})")
             return
         for x, y in zip(a, b):
             diff(x, y, f"{path}[*]", out)

@@ -3,7 +3,9 @@
 The trust region of a fitted model is the convex hull of its training
 points; chart cells outside it are rendered transparent.  Level sets of
 gridded scalar fields (probability 0.5 boundaries, anomaly contours) are
-extracted with marching squares and linear edge interpolation.
+extracted with marching squares: each grid edge the level crosses gets one
+linearly interpolated crossing, and segments are chained by edge identity,
+so no coordinate is compared or rounded.
 """
 
 from __future__ import annotations
@@ -95,81 +97,70 @@ def points_in_hull(queries, hull: np.ndarray, eps: float = 1e-9) -> np.ndarray:
     return inside
 
 
-def _interp_crossing(p1, p2, v1, v2, level):
-    frac = 0.5 if v2 == v1 else (level - v1) / (v2 - v1)
-    return (p1[0] + frac * (p2[0] - p1[0]), p1[1] + frac * (p2[1] - p1[1]))
-
-
 def marching_squares(xs, ys, values: np.ndarray, level: float) -> list[np.ndarray]:
     """Polylines of the ``values == level`` contour on a rectangular grid.
 
-    ``values[i, j]`` is the field at ``(xs[i], ys[j])``.  Each cell
-    contributes straight segments with linearly interpolated crossings;
-    saddle cells are disambiguated by the cell-center average.  Segments
-    sharing endpoints are chained into polylines.
+    ``values[i, j]`` is the field at ``(xs[i], ys[j])``; NaN counts as not
+    above the level.  Each grid edge whose ends straddle the level is crossed
+    once, at the point interpolated linearly from its lower-index end.  A
+    crossed cell joins its crossed sides, taken in the order bottom, right,
+    top, left, by one segment; a saddle joins them by two, paired by the sign
+    of its corners' mean.  Segments are chained through the edges they share:
+    a closed contour ends on its first vertex, and a grid node exactly at the
+    level shows as two consecutive vertices at that node, within one polyline.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    segments: list[tuple[tuple[float, float], tuple[float, float]]] = []
-    above = (values[: len(xs), : len(ys)] > level).astype(np.uint8)
-    code = above[:-1, :-1] | above[1:, :-1] << 1 | above[1:, 1:] << 2 | above[:-1, 1:] << 3
-    # only cells with corners on both sides of the level; argwhere keeps the
-    # row-major (i, then j) order of a double loop over the cells
-    for i, j in np.argwhere((code != 0) & (code != 15)).tolist():
-        corners = [
-            ((xs[i], ys[j]), values[i, j]),
-            ((xs[i + 1], ys[j]), values[i + 1, j]),
-            ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1]),
-            ((xs[i], ys[j + 1]), values[i, j + 1]),
-        ]
-        edges = []  # crossing point per crossed cell edge
-        for k in range(4):
-            (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
-            if (va > level) != (vb > level):
-                edges.append(_interp_crossing(pa, pb, va, vb, level))
-        if len(edges) == 2:
-            segments.append((edges[0], edges[1]))
-        elif len(edges) == 4:
-            # saddle: pair crossings by the sign of the center value
-            center = np.mean([v for _, v in corners])
-            if (center > level) == (corners[0][1] > level):
-                segments.append((edges[0], edges[3]))
-                segments.append((edges[1], edges[2]))
-            else:
-                segments.append((edges[0], edges[1]))
-                segments.append((edges[2], edges[3]))
-    return _chain_segments(segments)
+    v = values[: len(xs), : len(ys)]
+    above = v > level
+    cross_x = above[:-1] != above[1:]  # edges (i, j)-(i + 1, j)
+    cross_y = above[:, :-1] != above[:, 1:]  # edges (i, j)-(i, j + 1)
+    x_id = np.arange(cross_x.size).reshape(cross_x.shape)
+    y_id = cross_x.size + np.arange(cross_y.size).reshape(cross_y.shape)
+    crossed_edge = np.concatenate([cross_x.ravel(), cross_y.ravel()])
+    points = np.empty((len(crossed_edge), 2))
+    i, j = np.nonzero(cross_x)
+    f = (level - v[i, j]) / (v[i + 1, j] - v[i, j])
+    points[x_id[i, j]] = np.column_stack([xs[i] + f * (xs[i + 1] - xs[i]), ys[j]])
+    i, j = np.nonzero(cross_y)
+    f = (level - v[i, j]) / (v[i, j + 1] - v[i, j])
+    points[y_id[i, j]] = np.column_stack([xs[i], ys[j] + f * (ys[j + 1] - ys[j])])
 
+    # crossed cells in row-major order, each naming its sides' edges
+    i, j = np.nonzero(cross_x[:, :-1] | cross_x[:, 1:] | cross_y[:-1] | cross_y[1:])
+    sides = np.stack([x_id[i, j], y_id[i + 1, j], x_id[i, j + 1], y_id[i, j]], axis=1)
+    crossed = crossed_edge[sides]
+    saddle = crossed.all(axis=1)
+    # crossed sides first, in side order: a cell's segment, or a saddle's two
+    pick = np.argsort(~crossed, axis=1, kind="stable")
+    a, b = i[saddle], j[saddle]
+    center = np.stack([v[a, b], v[a + 1, b], v[a + 1, b + 1], v[a, b + 1]], axis=1).mean(axis=1)
+    pick[np.flatnonzero(saddle)[(center > level) == above[a, b]]] = (0, 3, 1, 2)
+    pairs = np.take_along_axis(sides, pick, axis=1).reshape(-1, 2, 2)
+    segments = pairs[np.column_stack([np.ones_like(saddle), saddle])]
 
-def _round_key(p, decimals=9):
-    return (round(p[0], decimals), round(p[1], decimals))
-
-
-def _chain_segments(segments) -> list[np.ndarray]:
-    adjacency: dict[tuple, list[int]] = {}
-    for idx, (a, b) in enumerate(segments):
-        adjacency.setdefault(_round_key(a), []).append(idx)
-        adjacency.setdefault(_round_key(b), []).append(idx)
+    # slots 2s and 2s + 1 hold segment s's edges; an edge's other slot, if
+    # any, belongs to the neighbouring cell's segment
+    flat = segments.ravel()
+    order = np.argsort(flat, kind="stable")
+    shared = np.flatnonzero(flat[order[1:]] == flat[order[:-1]])
+    other = np.full(len(flat), -1)
+    other[order[shared]] = order[shared + 1]
+    other[order[shared + 1]] = order[shared]
+    flat, other = flat.tolist(), other.tolist()
     used = [False] * len(segments)
     polylines: list[np.ndarray] = []
-    for start in range(len(segments)):
-        if used[start]:
+    for s in range(len(segments)):
+        if used[s]:
             continue
-        used[start] = True
-        a, b = segments[start]
-        chain = [a, b]
-        for grow_end in (True, False):
-            while True:
-                tip = _round_key(chain[-1] if grow_end else chain[0])
-                nxt = next((k for k in adjacency.get(tip, []) if not used[k]), None)
-                if nxt is None:
-                    break
-                used[nxt] = True
-                pa, pb = segments[nxt]
-                point = pb if _round_key(pa) == tip else pa
-                if grow_end:
-                    chain.append(point)
-                else:
-                    chain.insert(0, point)
-        polylines.append(np.asarray(chain))
+        used[s] = True
+        halves = []
+        for slot in (2 * s + 1, 2 * s):  # grow the end, then the start
+            half = [flat[slot]]
+            while other[slot] >= 0 and not used[other[slot] // 2]:
+                slot = other[slot] ^ 1
+                used[slot // 2] = True
+                half.append(flat[slot])
+            halves.append(half)
+        polylines.append(points[halves[1][::-1] + halves[0]])
     return polylines

@@ -41,9 +41,7 @@ class Family:
 class FoldPlan:
     n: int
     k: int
-    seed: int
     assignment: np.ndarray
-    stratified: bool = False
 
     def fold_indices(self, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """(train, test) row indices for one fold."""
@@ -72,7 +70,7 @@ def kfold_split(n: int, k: int, seed: int, stratify=None) -> FoldPlan:
         start = stop - sizes
         for fold in range(k):
             assignment[perm[start[fold] : stop[fold]]] = fold
-        return FoldPlan(n=n, k=k, seed=seed, assignment=assignment)
+        return FoldPlan(n=n, k=k, assignment=assignment)
     labels = np.asarray(stratify)
     if len(labels) != n:
         raise ValidationError("stratify labels must have length n")
@@ -82,7 +80,7 @@ def kfold_split(n: int, k: int, seed: int, stratify=None) -> FoldPlan:
         rows = rows[rng.permutation(len(rows))]
         assignment[rows] = (offset + np.arange(len(rows))) % k
         offset += len(rows)
-    return FoldPlan(n=n, k=k, seed=seed, assignment=assignment, stratified=True)
+    return FoldPlan(n=n, k=k, assignment=assignment)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,6 @@ class SelectionReport:
 
     family: str
     grid: tuple[dict, ...]
-    inner_scores: np.ndarray          # (k_outer, len(grid))
     chosen: tuple[int, ...]           # winning grid index per outer fold
     inner_selected_scores: np.ndarray # winner's inner score per outer fold
     outer_scores: np.ndarray          # held-out score of the refit winner
@@ -142,11 +139,10 @@ def nested_cv(
     k_outer: int = 5,
     k_inner: int = 5,
     seed: int = 0,
-    stratified: bool | None = None,
 ) -> SelectionReport:
     """Inner loop selects grid parameters, outer loop scores the selection.
 
-    Classification targets are stratified by default.  Inner fold plans are
+    Classification targets are stratified.  Inner fold plans are
     seeded per outer fold, so the whole report is deterministic in
     ``(data, grid, k_outer, k_inner, seed)``.
     """
@@ -155,8 +151,7 @@ def nested_cv(
     grid = tuple(dict(p) for p in param_grid)
     if not grid:
         raise ValidationError("parameter grid must not be empty")
-    if stratified is None:
-        stratified = family.kind == "classifier"
+    stratified = family.kind == "classifier"
     outer_plan = kfold_split(len(y), k_outer, seed, stratify=y if stratified else None)
     inner_scores = np.empty((k_outer, len(grid)))
     chosen: list[int] = []
@@ -184,7 +179,6 @@ def nested_cv(
     return SelectionReport(
         family=family.name,
         grid=grid,
-        inner_scores=inner_scores,
         chosen=tuple(chosen),
         inner_selected_scores=inner_selected,
         outer_scores=outer_scores,

@@ -56,8 +56,9 @@ CONTOUR_LEVELS = (0.5, 0.75, 0.95)
 # contours and percentile rectangles, and each boundary's polylines only; 6:
 # entries hold the variability band, and a zero-spread level's outcomes are
 # GAMs with no smooths; 7: one TargetModel type per target, with single-class
-# classifier targets held as "constant" GAMs).
-CACHE_SCHEMA = 7
+# classifier targets held as "constant" GAMs; 8: contours and boundary
+# polylines traced by grid edge, one crossing per edge).
+CACHE_SCHEMA = 8
 
 
 def _stable_tag(name: str) -> int:

@@ -1,16 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evmcontrol import geometry
-from evmcontrol.geometry import (
-    _chain_segments,
-    _interp_crossing,
-    convex_hull,
-    marching_squares,
-    points_in_hull,
-)
+from evmcontrol.geometry import convex_hull, marching_squares, points_in_hull
 from evmcontrol.pipeline import DEFAULT_EV_LEVELS
 from evmcontrol.simulate import run_ensemble
 
@@ -47,11 +43,14 @@ def test_degenerate_hull_segment():
     assert inside.tolist() == [True, False]
 
 
+def _circle_field(n):
+    xs = np.linspace(-2, 2, n)
+    return xs, xs, xs[:, None] ** 2 + xs[None, :] ** 2
+
+
 def test_marching_squares_circle():
-    xs = np.linspace(-2, 2, 81)
-    ys = np.linspace(-2, 2, 81)
-    vals = xs[:, None] ** 2 + ys[None, :] ** 2
-    polys = marching_squares(xs, ys, vals, 1.0)
+    polys = marching_squares(*_circle_field(81), 1.0)
+    assert len(polys) == 1 and (polys[0][0] == polys[0][-1]).all()  # one closed ring
     pts = np.concatenate(polys)
     radii = np.hypot(pts[:, 0], pts[:, 1])
     assert radii.min() > 0.99
@@ -79,10 +78,42 @@ def test_marching_squares_single_crossing_per_edge():
     assert len(polys) == 1 and total_points == 11  # chained into one polyline
 
 
+def _stepped_circle_field():
+    # values are multiples of 1/8, so many grid nodes lie exactly at level 1.0
+    xs, ys, vals = _circle_field(41)
+    return xs, ys, np.floor(vals * 8) / 8
+
+
+def test_marching_squares_nodes_at_level_stay_in_one_ring():
+    polys = marching_squares(*_stepped_circle_field(), 1.0)
+    assert not [p for p in polys if len(p) == 2 and (p[0] == p[1]).all()]
+    assert len(polys) == 1 and (polys[0][0] == polys[0][-1]).all()
+
+
+@pytest.mark.parametrize("field, level", [
+    (_circle_field(81), 1.0), (_circle_field(41), 1.0), (_stepped_circle_field(), 1.0),
+    (_stepped_circle_field(), 2.0), (_circle_field(30), 7.9),
+])
+def test_marching_squares_one_vertex_per_crossed_edge(field, level):
+    # every vertex is the crossing of a grid edge whose ends straddle the
+    # level, and each such edge gives one vertex in one polyline; a closed
+    # ring's last vertex repeats its first
+    xs, ys, vals = field
+    above = vals > level
+    edges = [(0, i, j) for i, j in np.argwhere(above[:-1] != above[1:])]
+    edges += [(1, i, j) for i, j in np.argwhere(above[:, :-1] != above[:, 1:])]
+    want = Counter(_ref_crossing(xs, ys, vals, level, key) for key in edges)
+    got = Counter()
+    for poly in marching_squares(xs, ys, vals, level):
+        closed = len(poly) > 2 and (poly[0] == poly[-1]).all()
+        got.update(map(tuple, poly[:-1] if closed else poly))
+    assert got == want and len(edges) > 0
+
+
 # ---------------------------------------------------------------------------
 # References: the monotone chain on numpy scalars and marching squares as a
-# double loop over every cell.  The package versions must match them bit for
-# bit.
+# double loop over every cell, each crossing keyed by its edge.  The package
+# versions must match them bit for bit.
 
 
 def _ref_convex_hull(points):
@@ -111,37 +142,53 @@ def _ref_convex_hull(points):
     return hull
 
 
+def _ref_crossing(xs, ys, values, level, key):
+    """Crossing of edge ``(axis, i, j)``, interpolated from node ``(i, j)``."""
+    axis, i, j = key
+    v0 = values[i, j]
+    if axis == 0:
+        f = (level - v0) / (values[i + 1, j] - v0)
+        return xs[i] + f * (xs[i + 1] - xs[i]), ys[j]
+    f = (level - v0) / (values[i, j + 1] - v0)
+    return xs[i], ys[j] + f * (ys[j + 1] - ys[j])
+
+
 def _ref_marching_squares(xs, ys, values, level):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     segments = []
     for i in range(len(xs) - 1):
         for j in range(len(ys) - 1):
-            corners = [
-                ((xs[i], ys[j]), values[i, j]),
-                ((xs[i + 1], ys[j]), values[i + 1, j]),
-                ((xs[i + 1], ys[j + 1]), values[i + 1, j + 1]),
-                ((xs[i], ys[j + 1]), values[i, j + 1]),
-            ]
-            code = sum(1 << k for k, (_, v) in enumerate(corners) if v > level)
-            if code in (0, 15):
-                continue
-            edges = []
-            for k in range(4):
-                (pa, va), (pb, vb) = corners[k], corners[(k + 1) % 4]
-                if (va > level) != (vb > level):
-                    edges.append(_interp_crossing(pa, pb, va, vb, level))
-            if len(edges) == 2:
-                segments.append((edges[0], edges[1]))
-            elif len(edges) == 4:
-                center = np.mean([v for _, v in corners])
-                if (center > level) == (corners[0][1] > level):
-                    segments.append((edges[0], edges[3]))
-                    segments.append((edges[1], edges[2]))
+            corners = [values[i, j], values[i + 1, j], values[i + 1, j + 1], values[i, j + 1]]
+            # bottom, right, top, left, each keyed by (axis, lower node)
+            sides = [(0, i, j), (1, i + 1, j), (0, i, j + 1), (1, i, j)]
+            keys = [sides[k] for k in range(4)
+                    if (corners[k] > level) != (corners[(k + 1) % 4] > level)]
+            if len(keys) == 2:
+                segments.append(keys)
+            elif len(keys) == 4:
+                if (np.mean(corners) > level) == (corners[0] > level):
+                    segments += [[keys[0], keys[3]], [keys[1], keys[2]]]
                 else:
-                    segments.append((edges[0], edges[1]))
-                    segments.append((edges[2], edges[3]))
-    return _chain_segments(segments)
+                    segments += [[keys[0], keys[1]], [keys[2], keys[3]]]
+    remaining = list(range(len(segments)))
+    polylines = []
+    while remaining:
+        chain = list(segments[remaining.pop(0)])
+        for grow_end in (True, False):
+            while True:
+                tip = chain[-1] if grow_end else chain[0]
+                nxt = next((s for s in remaining if tip in segments[s]), None)
+                if nxt is None:
+                    break
+                remaining.remove(nxt)
+                a, b = segments[nxt]
+                if grow_end:
+                    chain.append(b if a == tip else a)
+                else:
+                    chain.insert(0, b if a == tip else a)
+        polylines.append(np.asarray([_ref_crossing(xs, ys, values, level, k) for k in chain]))
+    return polylines
 
 
 def _same_array(a, b):

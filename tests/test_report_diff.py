@@ -26,7 +26,7 @@ def test_report_diff_names_changed_paths(tmp_path, capsys):
     assert report_diff.main([str(pa), str(pb)]) == 1
     assert capsys.readouterr().out.splitlines() == [
         'chart.contours["0.5"][*][*][*]: 1 of 4 numbers differ, max |diff| 0.25',
-        'chart.contours["0.95"]: lengths differ',
+        'chart.contours["0.95"]: lengths differ (1 vs 2)',
         "report.extra: only in B",
         "report.tag: values differ",
     ]
